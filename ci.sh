@@ -211,6 +211,21 @@ GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke"
     cargo bench --offline -p gpm-bench --bench overlap
 ./target/release/validate_bench "$smoke/BENCH_overlap.json"
 
+step "simulator accounting matrix (kernel-log golden + overlap pins across host workers)"
+# The coalescing replay keeps its scratch table per host worker. The
+# pinned kernel-log accounting (every KernelStats field of whole runs)
+# and the overlap seed pins must not depend on which worker ran which
+# warp group, or in what order.
+for t in 1 4 8; do
+    GPM_THREADS=$t cargo test -q --offline -p gp-metis-repro --test gpu_pipeline \
+        kernel_log_accounting_is_pinned
+    GPM_THREADS=$t cargo test -q --offline -p gp-metis --test overlap
+done
+GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 cargo test -q --offline -p gp-metis-repro \
+    --test gpu_pipeline kernel_log_accounting_is_pinned
+GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 cargo test -q --offline -p gp-metis --test overlap
+echo "simulator accounting identical under GPM_THREADS in {1,4,8} and steal fuzz"
+
 step "serve smoke (daemon: cache hit, forced degradation, deadline, identity)"
 serve=./target/release/gpm-serve
 loadgen=./target/release/gpm-loadgen

@@ -38,9 +38,14 @@ pub struct GpuConfig {
     pub mem_efficiency: f64,
     /// Device memory capacity in bytes (GTX Titan: 6 GB).
     pub mem_capacity: u64,
-    /// Lanes per warp.
+    /// Lanes per warp; at least 1 ([`Device::launch`] rejects 0).
+    ///
+    /// [`Device::launch`]: crate::Device::launch
     pub warp_size: usize,
-    /// Memory transaction granularity in bytes.
+    /// Memory transaction granularity in bytes; a power of two
+    /// ([`Device::launch`] rejects anything else).
+    ///
+    /// [`Device::launch`]: crate::Device::launch
     pub segment_bytes: u64,
     /// Fixed kernel launch overhead in seconds (~5 µs on Kepler).
     pub kernel_launch_overhead: f64,
@@ -54,7 +59,8 @@ pub struct GpuConfig {
     pub host_workers: usize,
     /// Per-lane memory-access trace capacity for the coalescing
     /// accounting; accesses beyond the cap are charged one transaction
-    /// each (pessimistic, rarely hit).
+    /// each (pessimistic, rarely hit). Values above `u32::MAX` act as
+    /// `u32::MAX`.
     pub trace_cap: usize,
 }
 

@@ -1,4 +1,9 @@
 //! The simulated device: memory management, transfers, and kernel launch.
+//!
+//! [`Device::launch`] runs a kernel warp by warp on the host pool and
+//! counts each warp's coalesced memory transactions by replaying its lane
+//! traces through `LockstepSegs`, whose cost per recorded access is
+//! O(1) for any warp size (DESIGN.md §3.5).
 
 use crate::buffer::{DBuf, DeviceWord};
 use crate::config::GpuConfig;
@@ -42,6 +47,9 @@ pub enum DeviceError {
     /// An injected fault escaped the device's bounded internal retries
     /// (or was fatal to begin with).
     Fault(FaultError),
+    /// The [`GpuConfig`] cannot run a kernel (for example a warp of zero
+    /// lanes); never transient.
+    InvalidConfig(&'static str),
 }
 
 impl DeviceError {
@@ -52,7 +60,7 @@ impl DeviceError {
     /// `DeviceError` as the end of the device session.
     pub fn is_transient(&self) -> bool {
         match self {
-            DeviceError::Oom(_) => false,
+            DeviceError::Oom(_) | DeviceError::InvalidConfig(_) => false,
             DeviceError::Fault(f) => f.is_transient(),
         }
     }
@@ -75,6 +83,7 @@ impl std::fmt::Display for DeviceError {
         match self {
             DeviceError::Oom(e) => e.fmt(f),
             DeviceError::Fault(e) => e.fmt(f),
+            DeviceError::InvalidConfig(why) => write!(f, "invalid device configuration: {why}"),
         }
     }
 }
@@ -153,42 +162,87 @@ struct Acc {
     accesses: u64,
 }
 
-/// Fixed-capacity sorted set of the memory segments touched at one
-/// lockstep trace position. Keeping the array sorted turns the previous
-/// per-access linear `contains` scan (O(warp_size) comparisons against an
-/// unsorted prefix) into a binary search plus an insertion shift —
-/// O(log warp_size) comparisons for the common already-present hit, which
-/// dominates coalesced access patterns. Capacity 64 covers a full warp of
-/// scattered accesses (one segment per lane, warp_size ≤ 64).
-struct SegSet {
-    segs: [u64; 64],
-    len: usize,
+/// Counts a warp's memory transactions: for each lockstep position `k`,
+/// the number of distinct segments among the lanes' `k`-th accesses.
+///
+/// Lanes are walked in order, each over its own trace, and an access
+/// costs at most two O(1) checks:
+///
+/// - against the previous lane's access at the same position, which
+///   catches the coalesced case where adjacent lanes hit one segment;
+/// - against a small open-addressed table of the (position, segment)
+///   pairs seen so far in this warp, for the scattered case. The table
+///   has at least twice as many slots as the warp has accesses, so any
+///   warp size fits and probes stay short.
+///
+/// Slots are emptied between warps by bumping an 8-bit generation stamp
+/// rather than by clearing them; when the stamp wraps, the slots used
+/// since the last wrap are zeroed once, every 255 warps. One instance
+/// lives per host worker and is reused across warps and launches.
+struct LockstepSegs {
+    slots: Vec<Slot>,
+    /// Slots at and beyond this index hold generation 0.
+    used: usize,
+    gen: u8,
 }
 
-impl SegSet {
-    fn new() -> Self {
-        SegSet { segs: [0; 64], len: 0 }
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    seg: u64,
+    pos: u32,
+    gen: u8,
+}
+
+impl LockstepSegs {
+    const fn new() -> Self {
+        LockstepSegs { slots: Vec::new(), used: 0, gen: 0 }
     }
 
-    fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Insert `s`; returns whether it was newly added.
-    fn insert(&mut self, s: u64) -> bool {
-        match self.segs[..self.len].binary_search(&s) {
-            Ok(_) => false,
-            Err(i) => {
-                self.segs.copy_within(i..self.len, i + 1);
-                self.segs[i] = s;
-                self.len += 1;
-                true
-            }
+    /// Transactions of one warp, given each lane's trace of segment ids
+    /// (each shorter than `u32::MAX`).
+    fn warp_transactions(&mut self, traces: &[Vec<u64>]) -> u64 {
+        let accesses: usize = traces.iter().map(Vec::len).sum();
+        if accesses == 0 {
+            return 0;
         }
+        let n = (2 * accesses).next_power_of_two();
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.slots[..self.used].fill(Slot::default());
+            self.used = 0;
+            self.gen = 1;
+        }
+        self.used = self.used.max(n);
+        let mask = n - 1;
+        let mut txns = 0u64;
+        let mut prev: &[u64] = &[];
+        for t in traces {
+            for (k, &seg) in t.iter().enumerate() {
+                if prev.get(k) == Some(&seg) {
+                    continue;
+                }
+                let pos = k as u32;
+                let key = seg ^ u64::from(pos).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut i = (key.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 32) as usize & mask;
+                loop {
+                    let slot = &mut self.slots[i];
+                    if slot.gen != self.gen {
+                        *slot = Slot { seg, pos, gen: self.gen };
+                        txns += 1;
+                        break;
+                    }
+                    if slot.seg == seg && slot.pos == pos {
+                        break;
+                    }
+                    i = (i + 1) & mask;
+                }
+            }
+            prev = t;
+        }
+        txns
     }
 }
 
@@ -411,15 +465,21 @@ impl Device {
         self.state.lock().unwrap().transfers.iter().map(|&(_, b, _)| b).sum()
     }
 
-    /// Launch `n_threads` copies of `kernel`, grouped into warps of 32.
+    /// Launch `n_threads` copies of `kernel`, grouped into warps of
+    /// `warp_size` lanes (32 on the GTX Titan).
     ///
     /// Execution: warp groups are dispatched to the persistent [`gpm_pool`]
     /// executor (real concurrency, so lock-free algorithms race for real);
     /// lanes within a warp run sequentially, with their memory traces
-    /// replayed in lockstep to count coalesced transactions. Per-group
-    /// statistics are integer sums folded in group-index order, so the
-    /// stats are identical regardless of which host worker ran which
-    /// group. Timing: roofline — `max(compute, memory) + launch overhead`.
+    /// replayed in lockstep to count coalesced transactions (see
+    /// `LockstepSegs`). Per-group statistics are integer sums folded in
+    /// group-index order, so the stats are identical regardless of which
+    /// host worker ran which group. Timing: roofline —
+    /// `max(compute, memory) + launch overhead`.
+    ///
+    /// Fails with [`DeviceError::InvalidConfig`] when `warp_size` is 0 or
+    /// `segment_bytes` is not a power of two, before any fault site or
+    /// lane runs.
     ///
     /// Fault site `gpu.launch` fires *before* any lane runs, so an
     /// injected [`FaultKind::KernelAbort`] is side-effect free and the
@@ -434,6 +494,12 @@ impl Device {
     where
         F: Fn(&mut Lane) + Sync,
     {
+        if self.cfg.warp_size == 0 {
+            return Err(DeviceError::InvalidConfig("warp_size must be at least 1"));
+        }
+        if !self.cfg.segment_bytes.is_power_of_two() {
+            return Err(DeviceError::InvalidConfig("segment_bytes must be a power of two"));
+        }
         let backoff = self.visit_site("gpu.launch", self.cfg.kernel_launch_overhead)?;
         self.charge_backoff(backoff);
         let ws = self.cfg.warp_size;
@@ -444,24 +510,21 @@ impl Device {
         let n_groups = n_warps.div_ceil(GROUP);
 
         thread_local! {
-            static SCRATCH: RefCell<(Vec<Vec<u64>>, Vec<u64>)> =
-                const { RefCell::new((Vec::new(), Vec::new())) };
+            static SCRATCH: RefCell<(Vec<Vec<u64>>, LockstepSegs)> =
+                const { RefCell::new((Vec::new(), LockstepSegs::new())) };
         }
 
         let accs = gpm_pool::parallel_chunks(n_groups, |gi| {
             SCRATCH.with(|cell| {
-                let (traces, lane_instrs) = &mut *cell.borrow_mut();
+                let (traces, segs) = &mut *cell.borrow_mut();
                 traces.resize_with(ws, || Vec::with_capacity(self.cfg.trace_cap.min(256)));
-                lane_instrs.resize(ws, 0);
                 let mut local = Acc::default();
-                let mut segs = SegSet::new();
                 for w in gi * GROUP..(gi * GROUP + GROUP).min(n_warps) {
                     let base = w * ws;
                     let mut max_instr = 0u64;
                     let mut overflow = 0u64;
-                    for l in 0..ws {
-                        traces[l].clear();
-                        lane_instrs[l] = 0;
+                    for (l, trace) in traces.iter_mut().enumerate() {
+                        trace.clear();
                         let tid = base + l;
                         if tid >= n_threads {
                             continue;
@@ -470,35 +533,24 @@ impl Device {
                             tid,
                             n_threads,
                             instr: 0,
-                            trace: &mut traces[l],
+                            trace,
                             overflow: 0,
-                            trace_cap: self.cfg.trace_cap,
-                            segment_bytes: self.cfg.segment_bytes,
+                            // the replay keys trace positions as u32
+                            trace_cap: self.cfg.trace_cap.min(u32::MAX as usize),
+                            segment_shift: self.cfg.segment_bytes.trailing_zeros(),
                             recent: [0; 4],
                             recent_pos: 0,
                         };
                         kernel(&mut lane);
-                        lane_instrs[l] = lane.instr;
+                        local.lane_instr += lane.instr;
                         overflow += lane.overflow;
                         max_instr = max_instr.max(lane.instr);
                     }
                     // Replay traces in lockstep: the k-th access of
                     // each lane coalesces into distinct segments.
-                    let maxlen = traces.iter().map(|t| t.len()).max().unwrap_or(0);
-                    let mut txns = 0u64;
-                    for k in 0..maxlen {
-                        segs.clear();
-                        for t in traces.iter() {
-                            if let Some(&s) = t.get(k) {
-                                segs.insert(s);
-                            }
-                        }
-                        txns += segs.len() as u64;
-                    }
-                    local.transactions += txns + overflow;
+                    local.transactions += segs.warp_transactions(traces) + overflow;
                     local.accesses += traces.iter().map(|t| t.len() as u64).sum::<u64>() + overflow;
                     local.warp_instr += max_instr;
-                    local.lane_instr += lane_instrs.iter().sum::<u64>();
                 }
                 local
             })
@@ -687,35 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn segset_counts_match_linear_scan() {
-        // The sorted dedup must count exactly as many distinct segments
-        // per lockstep position as the linear-scan reference it replaced.
-        let mut z = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            z ^= z << 13;
-            z ^= z >> 7;
-            z ^= z << 17;
-            z
-        };
-        let mut set = SegSet::new();
-        for trial in 0..200 {
-            // segment ids drawn from a small space to force duplicates
-            let ids: Vec<u64> = (0..(trial % 64) + 1).map(|_| next() % 40).collect();
-            let mut linear: Vec<u64> = Vec::new();
-            for &s in &ids {
-                if !linear.contains(&s) {
-                    linear.push(s);
-                }
-            }
-            set.clear();
-            for &s in &ids {
-                set.insert(s);
-            }
-            assert_eq!(set.len(), linear.len(), "trial {trial}");
-        }
-    }
-
-    #[test]
     fn transaction_counts_unchanged_by_dedup_rewrite() {
         // Golden transaction counts for the canonical access patterns —
         // these pin the dedup rewrite to the old linear-scan semantics.
@@ -741,6 +764,39 @@ mod tests {
             })
             .unwrap();
         assert_eq!(pair.transactions, 32);
+    }
+
+    #[test]
+    fn wide_warps_count_scattered_lanes() {
+        // 128 lanes, each on its own segment: one transaction per lane,
+        // whatever the warp width.
+        for ws in [32, 64, 128] {
+            let d = Device::new(GpuConfig { warp_size: ws, ..GpuConfig::gtx_titan() });
+            let n = 128 * 4;
+            let buf = d.alloc::<u32>(n * 32).unwrap();
+            let strided = d
+                .launch("s", n, |lane| {
+                    let _ = lane.ld(&buf, lane.tid * 32);
+                })
+                .unwrap();
+            assert_eq!(strided.transactions, n as u64, "warp size {ws}");
+            assert_eq!(strided.warps, (n / ws) as u64);
+        }
+    }
+
+    #[test]
+    fn unusable_config_is_a_typed_launch_error() {
+        for (cfg, why) in [
+            (GpuConfig { warp_size: 0, ..GpuConfig::gtx_titan() }, "warp_size"),
+            (GpuConfig { segment_bytes: 0, ..GpuConfig::gtx_titan() }, "segment_bytes"),
+            (GpuConfig { segment_bytes: 96, ..GpuConfig::gtx_titan() }, "segment_bytes"),
+        ] {
+            let d = Device::new(cfg);
+            let err = d.launch("k", 64, |lane| lane.alu(1)).unwrap_err();
+            assert!(matches!(err, DeviceError::InvalidConfig(w) if w.contains(why)), "{err}");
+            assert!(!err.is_transient());
+            assert!(d.kernel_log().is_empty(), "a rejected launch must not be logged");
+        }
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //!
 //! All device-memory accesses made by kernel code go through [`Lane`], so
 //! the simulator can count instructions and record which 128-byte memory
-//! segment every access touches. After a warp's 32 lanes have run, the
-//! launcher replays the recorded traces position-by-position to count how
-//! many memory transactions the warp issued — the coalescing model of
-//! §III (Fig. 2 of the paper).
+//! segment every access touches. After a warp's lanes have run, the
+//! launcher replays the recorded traces in lockstep: the number of
+//! distinct segments among the lanes' `k`-th accesses is the number of
+//! memory transactions the warp issued at step `k` — the coalescing model
+//! of §III (Fig. 2 of the paper). The replay walks each trace once,
+//! checking an access against the previous lane's at the same position
+//! and otherwise against a per-warp hash table (`device::LockstepSegs`;
+//! DESIGN.md §3.5).
 
 use crate::buffer::{DBuf, DeviceInt, DeviceWord};
 
@@ -23,7 +27,8 @@ pub struct Lane<'a> {
     /// Accesses beyond the trace capacity (charged 1 transaction each).
     pub(crate) overflow: u64,
     pub(crate) trace_cap: usize,
-    pub(crate) segment_bytes: u64,
+    /// `log2` of the segment size in bytes.
+    pub(crate) segment_shift: u32,
     /// Tiny per-lane ring of recently touched segments, modeling the L1/L2
     /// spatial locality that absorbs lane-sequential traffic (a thread
     /// scanning a contiguous row re-reads the same 128 B line 32 times;
@@ -37,8 +42,9 @@ impl<'a> Lane<'a> {
     fn record<T: DeviceWord>(&mut self, buf: &DBuf<T>, i: usize) {
         debug_assert!(i < buf.len(), "device access out of bounds: {} >= {}", i, buf.len());
         self.instr += 1;
-        let seg = (buf.id << 40) | (i as u64 * 4 / self.segment_bytes);
-        if self.recent.contains(&seg) {
+        let seg = (buf.id << 40) | ((i as u64 * 4) >> self.segment_shift);
+        // Non-short-circuit `|` over the ring: one branch instead of four.
+        if self.recent.iter().fold(false, |hit, &r| hit | (r == seg)) {
             return; // spatial-locality hit: no new memory transaction
         }
         self.recent[self.recent_pos] = seg;
@@ -158,7 +164,7 @@ mod tests {
             trace,
             overflow: 0,
             trace_cap: 4,
-            segment_bytes: 128,
+            segment_shift: 7,
             recent: [0; 4],
             recent_pos: 0,
         }

@@ -5,9 +5,9 @@
 //! amortized O(1) allocations per buffer per V-cycle.
 //!
 //! This test installs a counting global allocator, so it lives alone in
-//! its own integration-test binary and drives only the *serial*
-//! contraction path: pool workers allocate on their own schedule, which
-//! would make the counts nondeterministic.
+//! its own integration-test binary. It counts only the test thread's
+//! allocations, so its tests can run in parallel, and it drives only the
+//! *serial* contraction path, which allocates on that thread alone.
 
 use gpm_graph::coarsen_ws::CoarsenWorkspace;
 use gpm_graph::csr::CsrGraph;
@@ -47,9 +47,9 @@ fn warm_workspace_is_allocation_stable() {
 
     // Cold V-cycle: sizes the workspace high-water. Its allocation count
     // includes the workspace's own growth.
-    let cold_start = ALLOC.allocations();
+    let cold_start = ALLOC.thread_allocations();
     let levels = vcycle(&g, &mut ws, 1);
-    let cold = ALLOC.allocations() - cold_start;
+    let cold = ALLOC.thread_allocations() - cold_start;
     assert!(levels >= 3, "graph too easy: only {levels} levels");
     let grown = ws.grow_events();
     // Amortized O(1) allocations per workspace buffer per V-cycle: the
@@ -61,14 +61,14 @@ fn warm_workspace_is_allocation_stable() {
     // Warm V-cycles: the workspace is already high-water, so the only
     // allocator traffic left is the per-level outputs (matching, cmap,
     // coarse CSR) — identical work on every run, hence identical counts.
-    let warm1_start = ALLOC.allocations();
+    let warm1_start = ALLOC.thread_allocations();
     vcycle(&g, &mut ws, 1);
-    let warm1 = ALLOC.allocations() - warm1_start;
+    let warm1 = ALLOC.thread_allocations() - warm1_start;
     assert_eq!(ws.grow_events(), grown, "warm V-cycle grew the workspace");
 
-    let warm2_start = ALLOC.allocations();
+    let warm2_start = ALLOC.thread_allocations();
     vcycle(&g, &mut ws, 1);
-    let warm2 = ALLOC.allocations() - warm2_start;
+    let warm2 = ALLOC.thread_allocations() - warm2_start;
 
     assert_eq!(warm1, warm2, "warm V-cycles must have identical allocation counts");
     assert!(warm1 < cold, "warm V-cycle ({warm1}) not cheaper than cold ({cold})");
@@ -92,13 +92,13 @@ fn per_level_scratch_allocations_are_constant() {
 
     // Contract the same level twice against the warm workspace; both runs
     // allocate exactly the same (outputs only).
-    let s1 = ALLOC.allocations();
+    let s1 = ALLOC.thread_allocations();
     let (c1, m1) = contract_ws(&g, &mat, &mut work, &mut ws);
-    let a1 = ALLOC.allocations() - s1;
+    let a1 = ALLOC.thread_allocations() - s1;
 
-    let s2 = ALLOC.allocations();
+    let s2 = ALLOC.thread_allocations();
     let (c2, m2) = contract_ws(&g, &mat, &mut work, &mut ws);
-    let a2 = ALLOC.allocations() - s2;
+    let a2 = ALLOC.thread_allocations() - s2;
 
     assert_eq!(c1, c2);
     assert_eq!(m1, m2);
@@ -109,9 +109,9 @@ fn per_level_scratch_allocations_are_constant() {
     // calls for the dense table — the warm path's advantage is exactly
     // the scratch, everything else (outputs, debug validation) is equal.
     let mut cold_ws = CoarsenWorkspace::new();
-    let s3 = ALLOC.allocations();
+    let s3 = ALLOC.thread_allocations();
     let (c3, m3) = contract_ws(&g, &mat, &mut work, &mut cold_ws);
-    let a3 = ALLOC.allocations() - s3;
+    let a3 = ALLOC.thread_allocations() - s3;
     assert_eq!(c1, c3);
     assert_eq!(m1, m3);
     assert!(a3 > a1, "cold workspace ({a3}) should out-allocate warm ({a1})");

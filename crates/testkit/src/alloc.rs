@@ -12,19 +12,30 @@
 //! #[global_allocator]
 //! static ALLOC: gpm_testkit::alloc::CountingAlloc = gpm_testkit::alloc::CountingAlloc::new();
 //!
-//! let before = ALLOC.allocations();
+//! let before = ALLOC.thread_allocations();
 //! run_warm_path();
-//! let during = ALLOC.allocations() - before;
+//! let during = ALLOC.thread_allocations() - before;
 //! ```
 //!
-//! Keep such tests single-threaded: pool workers allocate on their own
-//! schedule, which makes counts nondeterministic. The counters themselves
-//! are atomic, so concurrent use is safe — just not reproducible.
+//! [`CountingAlloc::thread_allocations`] counts only the calling thread's
+//! allocations, so tests in one binary may run in parallel (the default
+//! for `cargo test`) without counting each other's. It also leaves out
+//! pool workers, which allocate on their own schedule: keep the measured
+//! path on the calling thread. The process-wide counters are atomic, so
+//! concurrent use is safe — just not reproducible.
 //!
 //! [`CoarsenWorkspace`]: gpm_graph::coarsen_ws::CoarsenWorkspace
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    /// Allocation calls made by this thread through any `CountingAlloc`.
+    /// A const-initialised `Cell` needs no lazy setup or destructor, so
+    /// the allocator can touch it without allocating.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// System allocator wrapper that counts calls and requested bytes, and
 /// tracks the live-byte high-water mark (the heap component of peak RSS,
@@ -56,12 +67,20 @@ impl CountingAlloc {
         self.bytes_allocated.fetch_add(bytes, Ordering::Relaxed);
         let live = self.live_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak_bytes.fetch_max(live, Ordering::Relaxed);
+        let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 
     /// Total allocation calls so far (`alloc` + `alloc_zeroed` + growing
     /// `realloc`s count once each).
     pub fn allocations(&self) -> u64 {
         self.allocations.load(Ordering::Relaxed)
+    }
+
+    /// Allocation calls made so far by the calling thread (counted like
+    /// [`allocations`](Self::allocations)). Exact however many other
+    /// threads allocate meanwhile, e.g. parallel tests in one binary.
+    pub fn thread_allocations(&self) -> u64 {
+        THREAD_ALLOCATIONS.with(Cell::get)
     }
 
     /// Total deallocation calls so far.
@@ -158,5 +177,22 @@ mod tests {
         assert_eq!(a.live_bytes(), 0);
         assert_eq!(a.allocations(), 4);
         assert_eq!(a.deallocations(), 4);
+    }
+
+    #[test]
+    fn thread_count_ignores_other_threads() {
+        let a = CountingAlloc::new();
+        let l = Layout::from_size_align(64, 8).unwrap();
+        let mine = a.thread_allocations();
+        std::thread::scope(|s| {
+            s.spawn(|| unsafe {
+                let before = a.thread_allocations();
+                let p = a.alloc(l);
+                a.dealloc(p, l);
+                assert_eq!(a.thread_allocations(), before + 1);
+            });
+        });
+        assert_eq!(a.allocations(), 1, "the process-wide count sees the other thread");
+        assert_eq!(a.thread_allocations(), mine, "this thread allocated nothing through `a`");
     }
 }

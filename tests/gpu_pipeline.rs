@@ -162,3 +162,62 @@ fn oom_propagates_from_mid_pipeline() {
         other => panic!("expected an OOM device error, got {other}"),
     }
 }
+
+/// FNV-1a over every field of every launch in a kernel log, in order.
+fn kernel_log_hash(log: &[gp_metis_repro::gpu::KernelStats]) -> u64 {
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h
+    }
+    log.iter().fold(0xcbf29ce484222325, |mut h, k| {
+        h = fnv(h, k.name.as_bytes());
+        for w in [
+            k.n_threads as u64,
+            k.warps,
+            k.warp_instr,
+            k.lane_instr,
+            k.transactions,
+            k.accesses,
+            k.mem_seconds.to_bits(),
+            k.compute_seconds.to_bits(),
+            k.seconds.to_bits(),
+        ] {
+            h = fnv(h, &w.to_le_bytes());
+        }
+        h
+    })
+}
+
+/// Golden accounting of the simulator: the kernel log of whole
+/// GP-metis runs, hashed field by field. Any change to how launches count
+/// warps, instructions, accesses or coalesced transactions — or to the
+/// modeled seconds derived from them — moves these values. The blocked
+/// case defeats coalescing, so it pins the scattered-access counts too.
+#[test]
+fn kernel_log_accounting_is_pinned() {
+    use gp_metis_repro::gpmetis::{partition, GpMetisConfig, VertexDistribution};
+    let cases = [
+        ("hugebubbles", hugebubbles_like(6_000), 1, VertexDistribution::Cyclic, 0x1343829cf07597f1),
+        ("delaunay", delaunay_like(3_000, 2), 5, VertexDistribution::Cyclic, 0xebef337d8c9e65d7),
+        (
+            "hugebubbles-blocked",
+            hugebubbles_like(6_000),
+            3,
+            VertexDistribution::Blocked,
+            0xae989be6141134ee,
+        ),
+    ];
+    for (name, g, seed, distribution, golden) in cases {
+        let cfg = GpMetisConfig {
+            distribution,
+            ..GpMetisConfig::new(8).with_seed(seed).with_gpu_threshold(400)
+        };
+        let r = partition(&g, &cfg).unwrap();
+        assert!(r.gpu.kernel_log.len() > 20, "{name}: too few launches to pin");
+        let h = kernel_log_hash(&r.gpu.kernel_log);
+        assert_eq!(h, golden, "{name}: kernel log accounting moved (got {h:#018x})");
+    }
+}
