@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Hermetic CI gate. Mirrors .github/workflows/ci.yml so the same checks
-# run locally and in CI. Everything runs with --offline: the workspace
-# has path-only dependencies by policy (see DESIGN.md, "Hermetic build
-# policy") and must never reach the network.
+# Hermetic CI gate: the one definition of every check, run as-is both
+# locally and by .github/workflows/ci.yml. Everything runs with
+# --offline: the workspace has path-only dependencies by policy (see
+# DESIGN.md, "Hermetic build policy") and must never reach the network.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -179,23 +179,27 @@ if run_gp --devices 0 2> "$smoke/mg_err.txt"; then
 fi
 grep -q "invalid configuration: device count must be at least 1" "$smoke/mg_err.txt"
 echo "--devices 0 rejected with a typed error"
+# the sharded pipeline has no fault sites: a malformed plan, an active
+# plan and --fallback are all rejected at D >= 2, never silently ignored
+if GPM_FAULTS=garbage run_gp --devices 2 2> "$smoke/mg_err.txt"; then
+    echo "malformed GPM_FAULTS at --devices 2 should have been rejected" >&2
+    exit 1
+fi
+grep -q "invalid GPM_FAULTS" "$smoke/mg_err.txt"
+if GPM_FAULTS="7:gpu.launch@8=lost" run_gp --devices 2 --fallback 2> "$smoke/mg_err.txt"; then
+    echo "fault plan at --devices 2 should have been rejected" >&2
+    exit 1
+fi
+grep -q "invalid configuration: fault injection and fallback need a single device" \
+    "$smoke/mg_err.txt"
+echo "fault plans and --fallback rejected at --devices 2 with typed errors"
 GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke" \
     cargo bench --offline -p gpm-bench --bench multigpu
 ./target/release/validate_bench "$smoke/BENCH_multigpu.json"
 
-step "overlap-smoke (overlap timeline: off-identity, schedule determinism, bench JSON)"
-# The timeline is pure accounting: --overlap off must reproduce the
-# default run byte-for-byte (partition AND the stdout summary, which
-# carries the modeled-time total) on both the single- and multi-GPU
-# paths, and the rendered schedule itself must be bit-identical across
-# GPM_THREADS and steal fuzz.
-run_gp --overlap off --output "$smoke/ov_off.part"
-diff -q "$smoke/clean.part" "$smoke/ov_off.part"
-run_gp --overlap off > "$smoke/ov_off.txt"
-diff -u "$smoke/noplan.txt" "$smoke/ov_off.txt"
-run_gp --devices 2 --overlap off --output "$smoke/ov_mg_off.part"
-diff -q "$smoke/mg_d2_ref.part" "$smoke/ov_mg_off.part"
-echo "--overlap off is byte-identical to the default run (partition + modeled time)"
+step "overlap-smoke (overlap timeline: schedule determinism, bench JSON)"
+# The rendered schedule must be bit-identical across GPM_THREADS and
+# steal fuzz.
 for t in 1 4 8; do
     GPM_THREADS=$t run_gp --devices 2 --timeline > /dev/null 2> "$smoke/ov_tl_t$t.txt"
 done

@@ -6,11 +6,7 @@
 //! * serialized modeled seconds (the running-sum ledger total) and the
 //!   overlapped makespan (critical path over the op DAG),
 //! * the speedup and the compute engines' transfer-stall fraction,
-//! * wall time and edge cut,
-//!
-//! and at the smallest size re-runs with `overlap = off` to pin that the
-//! timeline is pure accounting (byte-identical partition, identical
-//! serialized total, no report).
+//! * wall time and edge cut.
 //!
 //! In-bench asserts (the CI overlap-smoke gate re-runs these at a
 //! fraction of the size):
@@ -18,7 +14,6 @@
 //! * the makespan never exceeds the serialized total (every op duration
 //!   is carved out of a ledger phase charge, so the DAG can only
 //!   reorder, never invent, time) at every size and device count,
-//! * `overlap = off` changes nothing but the report (smallest size),
 //! * at the full-scale 50M tier only: multi-GPU overlap hides >= 8% of
 //!   the serialized time (measured: ~11% for D in {2, 4} — shard
 //!   cutting, compute, and the merge/initial-partition bridge pin the
@@ -83,7 +78,7 @@ fn record(b: &mut BenchSuite, tag: &str, ov: &OverlapReport, cut: u64, wall: u12
     );
 }
 
-fn run_size(b: &mut BenchSuite, label: &str, target_m: usize, smallest: bool, full_scale: bool) {
+fn run_size(b: &mut BenchSuite, label: &str, target_m: usize, full_scale: bool) {
     let g = grid_with_edges(target_m);
     eprintln!("[overlap/{label}] n = {}, m = {}, CSR {} bytes", g.n(), g.m(), g.bytes());
     b.record_value(&format!("overlap/{label}/vertices"), g.n() as u128);
@@ -106,27 +101,7 @@ fn run_size(b: &mut BenchSuite, label: &str, target_m: usize, smallest: bool, fu
         let wall = t0.elapsed().as_nanos();
         let ov = r.overlap.clone().expect("clean multi-GPU run carries an overlap report");
         record(b, &format!("overlap/{label}/d{d}"), &ov, r.result.edge_cut, wall);
-        multi.push((d, r, ov));
-    }
-
-    // The timeline is pure accounting: with overlap off the partition,
-    // the cut and the serialized ledger total are unchanged and no
-    // report is produced. Re-run costs one extra pass, so only the
-    // smallest size pays it (the dedicated test suite pins the same
-    // invariant across generators and thread counts).
-    if smallest {
-        let off = partition(&g, &base(8).with_overlap(false)).expect("overlap-off partition");
-        assert!(off.overlap.is_none(), "overlap/{label}: overlap=off still produced a report");
-        assert_eq!(off.result.part, r1.result.part, "overlap/{label}: overlap=off moved vertices");
-        let (on_t, off_t) = (r1.result.ledger.total(), off.result.ledger.total());
-        assert!(
-            (on_t - off_t).abs() <= on_t * REL_EPS,
-            "overlap/{label}: overlap=off changed the modeled time ({on_t:.9} vs {off_t:.9})"
-        );
-        let cfg = MultiGpuConfig::new(base(8).with_overlap(false), 2);
-        let moff = partition_multi(&g, &cfg).expect("overlap-off multi-GPU partition");
-        assert!(moff.overlap.is_none());
-        assert_eq!(moff.result.part, multi[0].1.result.part);
+        multi.push((d, ov));
     }
 
     // Calibrated speedup/stall floors hold only at the genuine 50M tier
@@ -139,7 +114,7 @@ fn run_size(b: &mut BenchSuite, label: &str, target_m: usize, smallest: bool, fu
             "overlap/{label}: clean single-GPU speedup should be 1.0, got {:.6}",
             ov1.speedup()
         );
-        for (d, _, ov) in &multi {
+        for (d, ov) in &multi {
             assert!(
                 ov.speedup() >= 1.08,
                 "overlap/{label}: D={d} hides less than 8% of the serialized time \
@@ -170,7 +145,7 @@ fn main() {
     let sizes = [("grid-10M", 10_000_000), ("grid-50M", 50_000_000)];
     for (i, (label, target_m)) in sizes.iter().enumerate() {
         let m = ((*target_m as f64 * scale) as usize).max(10_000);
-        run_size(&mut b, label, m, i == 0, i == sizes.len() - 1 && scale >= 1.0);
+        run_size(&mut b, label, m, i == sizes.len() - 1 && scale >= 1.0);
     }
     b.finish();
 }

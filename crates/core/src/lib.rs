@@ -81,12 +81,6 @@ pub struct GpMetisConfig {
     /// checkpoint instead of failing. Off by default — checkpointing
     /// downloads each coarse level over (modeled) PCIe.
     pub fallback: bool,
-    /// Overlap-aware execution: evaluate the run as an op DAG over
-    /// per-device compute/copy engines and report the critical-path
-    /// makespan alongside the serialized ledger (DESIGN.md §16). Pure
-    /// accounting — partitions and the serialized ledger are byte-for-byte
-    /// identical either way; off simply skips the timeline.
-    pub overlap: bool,
 }
 
 impl GpMetisConfig {
@@ -105,7 +99,6 @@ impl GpMetisConfig {
             seed: 1,
             gpu: GpuConfig::gtx_titan(),
             fallback: false,
-            overlap: true,
         }
     }
 
@@ -124,12 +117,6 @@ impl GpMetisConfig {
     /// Builder-style fallback (graceful degradation) override.
     pub fn with_fallback(mut self, on: bool) -> Self {
         self.fallback = on;
-        self
-    }
-
-    /// Builder-style overlap-timeline override.
-    pub fn with_overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
         self
     }
 }
@@ -257,9 +244,9 @@ pub struct GpMetisResult {
     /// Fault-injection and degradation record.
     pub report: RunReport,
     /// Overlap-aware schedule of the run (critical-path makespan and
-    /// per-engine occupancy), when `cfg.overlap` was on and the run
-    /// finished on the clean GPU path. `None` with overlap off and on the
-    /// degraded / CPU-only paths, whose timeline the DAG does not model.
+    /// per-engine occupancy) when the run finished on the clean GPU path.
+    /// `None` on the degraded / CPU-only paths, whose timeline the DAG
+    /// does not model.
     pub overlap: Option<gpm_gpu_sim::OverlapReport>,
 }
 
@@ -270,24 +257,23 @@ pub(crate) struct GpuLevel {
 }
 
 /// Outcome of a device coarsening loop.
-pub(crate) struct CoarsenOutcome {
-    pub(crate) levels: Vec<GpuLevel>,
-    pub(crate) coarsest: GpuCsr,
-    pub(crate) conflicts: u64,
-    pub(crate) peak_mem: u64,
+struct CoarsenOutcome {
+    levels: Vec<GpuLevel>,
+    coarsest: GpuCsr,
+    conflicts: u64,
+    peak_mem: u64,
 }
 
 /// Run GPU coarsening levels on `dev` until the graph drops below the
-/// threshold or matching stalls. Shared by the single-GPU pipeline and
-/// the multi-GPU extension.
-pub(crate) fn gpu_coarsen_loop(
+/// threshold or matching stalls.
+fn gpu_coarsen_loop(
     dev: &Device,
     g0: GpuCsr,
     mut uniform: bool,
     max_vwgt: u32,
     cfg: &GpMetisConfig,
     mut ckpt: Option<&mut Checkpoint>,
-    mut marks: Option<&mut Vec<(f64, f64)>>,
+    marks: &mut Vec<(f64, f64)>,
 ) -> Result<CoarsenOutcome, DeviceError> {
     let ccfg = CoarsenConfig::for_k(cfg.k);
     let mut levels: Vec<GpuLevel> = Vec::new();
@@ -328,29 +314,26 @@ pub(crate) fn gpu_coarsen_loop(
             let fine = std::mem::replace(&mut ck.coarse, coarse_host);
             ck.host_levels.push(Level { graph: fine, cmap: cmap_host });
         }
-        if let Some(m) = marks.as_deref_mut() {
-            // Absolute device clocks at the level's kernels-done and
-            // checkpoint-done boundaries, for the overlap timeline: the
-            // gap between the two is the level's checkpoint D2H, which
-            // streams on the copy engine behind the next level's compute.
-            m.push((kernels_done, dev.elapsed()));
-        }
+        // Absolute device clocks at the level's kernels-done and
+        // checkpoint-done boundaries, for the overlap timeline: the gap
+        // between the two is the level's checkpoint D2H, which streams on
+        // the copy engine behind the next level's compute.
+        marks.push((kernels_done, dev.elapsed()));
         uniform = false; // contraction sums weights; HEM has signal now
         levels.push(GpuLevel { graph: std::mem::replace(&mut cur, coarse), cmap });
     }
     Ok(CoarsenOutcome { levels, coarsest: cur, conflicts, peak_mem })
 }
 
-/// Project + refine back up through the device levels. Shared by the
-/// single-GPU pipeline and the multi-GPU extension. Returns the fine
+/// Project + refine back up through the device levels. Returns the fine
 /// device partition and the number of committed moves.
-pub(crate) fn gpu_uncoarsen_loop(
+fn gpu_uncoarsen_loop(
     dev: &Device,
     levels: &[GpuLevel],
     mut dpart: gpm_gpu_sim::DBuf<u32>,
     maxw: u32,
     cfg: &GpMetisConfig,
-    mut marks: Option<&mut Vec<f64>>,
+    marks: &mut Vec<f64>,
 ) -> Result<(gpm_gpu_sim::DBuf<u32>, u64), DeviceError> {
     let mut refine_moves = 0u64;
     for lvl in (0..levels.len()).rev() {
@@ -369,9 +352,7 @@ pub(crate) fn gpu_uncoarsen_loop(
             cfg.max_threads,
         )?;
         refine_moves += stats.moves;
-        if let Some(m) = marks.as_deref_mut() {
-            m.push(dev.elapsed());
-        }
+        marks.push(dev.elapsed());
     }
     Ok((dpart, refine_moves))
 }
@@ -638,7 +619,7 @@ pub fn partition_with_plan(
             max_vwgt,
             cfg,
             ckpt.as_mut(),
-            cfg.overlap.then_some(&mut coarsen_marks),
+            &mut coarsen_marks,
         )
         .map_err(|e| ("gpu:coarsen", e))?;
         charge(&mut ledger, &dev, "gpu:coarsen", &mut mark);
@@ -707,15 +688,9 @@ pub fn partition_with_plan(
         let dpart = dev.h2d(&part_at_entry).map_err(|e| ("xfer:h2d:part", e))?;
         charge(&mut ledger, &dev, "xfer:h2d:part", &mut mark);
         unc_marks.push(mark); // uncoarsening start clock
-        let (dpart, refine_moves) = gpu_uncoarsen_loop(
-            &dev,
-            &levels,
-            dpart,
-            maxw,
-            cfg,
-            cfg.overlap.then_some(&mut unc_marks),
-        )
-        .map_err(|e| ("gpu:uncoarsen", e))?;
+        let (dpart, refine_moves) =
+            gpu_uncoarsen_loop(&dev, &levels, dpart, maxw, cfg, &mut unc_marks)
+                .map_err(|e| ("gpu:uncoarsen", e))?;
         peak_mem = peak_mem.max(dev.mem_used());
         charge(&mut ledger, &dev, "gpu:uncoarsen", &mut mark);
         let part = dev.d2h(&dpart).map_err(|e| ("xfer:d2h:part", e))?;
@@ -730,17 +705,15 @@ pub fn partition_with_plan(
                 checkpoint_gpu_levels: ckpt.as_ref().map_or(0, |c| c.host_levels.len()),
                 ..RunReport::default()
             };
-            let overlap = cfg.overlap.then(|| {
-                single_gpu_timeline(
-                    &ledger,
-                    &cpu_ledger.phases,
-                    coarsen_t0,
-                    coarsen_t1,
-                    &coarsen_marks,
-                    &unc_marks,
-                )
-                .report(ledger.total())
-            });
+            let overlap = single_gpu_timeline(
+                &ledger,
+                &cpu_ledger.phases,
+                coarsen_t0,
+                coarsen_t1,
+                &coarsen_marks,
+                &unc_marks,
+            )
+            .report(ledger.total());
             Ok(assemble_result(
                 g,
                 cfg,
@@ -754,7 +727,7 @@ pub fn partition_with_plan(
                 refine_moves,
                 peak_mem,
                 report,
-                overlap,
+                Some(overlap),
             ))
         }
         Err((point, e)) => {

@@ -38,11 +38,6 @@
 //! set-idempotent; device kernels carry the single-GPU path's
 //! thread-count-independence guarantees. Partitions and modeled-time
 //! ledgers are therefore byte-identical for any `GPM_THREADS`.
-//!
-//! The original fold-and-stitch prototype (cross edges held out of
-//! coarsening, blind per-device refinement, CPU seam cleanup) is kept as
-//! [`partition_multi_stitch`]: it is the quality baseline the halo path
-//! is tested against, and the bench tier compares both.
 
 use crate::gpu_graph::{h2d_idx, GpuCsr};
 use crate::kernels::cmap::gpu_cmap_ws;
@@ -51,10 +46,8 @@ use crate::kernels::halo::{
     gpu_build_halo_graph, gpu_compose_bmap, gpu_project_halo, HaloLayout, HaloRefine,
 };
 use crate::kernels::matching::gpu_matching;
-use crate::{
-    gpu_coarsen_loop, gpu_uncoarsen_loop, CoarsenOutcome, GpMetisConfig, GpuLevel, PartitionError,
-    RunReport,
-};
+use crate::{GpMetisConfig, GpuLevel, PartitionError, RunReport};
+use gpm_faults::FaultPlan;
 use gpm_gpu_sim::{
     DBuf, Device, DeviceError, DeviceGroup, EngineId, EventId, LinkConfig, LinkStats,
     OverlapReport, Timeline,
@@ -62,7 +55,7 @@ use gpm_gpu_sim::{
 use gpm_graph::boundary::BoundaryTracker;
 use gpm_graph::builder::GraphBuilder;
 use gpm_graph::csr::{CsrGraph, Vid};
-use gpm_graph::subgraph::{halo_shards, induced_subgraph, HaloShard};
+use gpm_graph::subgraph::{halo_shards, HaloShard};
 use gpm_metis::coarsen::CoarsenConfig;
 use gpm_metis::cost::{CostLedger, CpuModel, Work};
 use gpm_metis::PartitionResult;
@@ -125,12 +118,12 @@ pub struct MultiGpuResult {
     /// ([`BoundaryTracker`] over the whole graph).
     pub boundary_vertices: usize,
     /// Fault/degradation record (the multi-GPU path runs clean: fault
-    /// plans target the single-device pipeline).
+    /// plans and fallback are rejected at two or more devices).
     pub report: RunReport,
     /// Overlap-aware schedule (critical-path makespan over per-device
-    /// compute/copy engines, per-link comm engines and the host CPU lane)
-    /// when `base.overlap` is on. Pure accounting — partitions and the
-    /// serialized ledger are identical either way.
+    /// compute/copy engines, per-link comm engines and the host CPU lane).
+    /// Pure accounting — the pipeline never consults it. `None` only when
+    /// a one-device run degraded to the CPU.
     pub overlap: Option<OverlapReport>,
 }
 
@@ -251,6 +244,14 @@ pub fn partition_multi(
             result: r.result,
         });
     }
+    // The sharded pipeline has no fault sites and no checkpoint path: a
+    // plan or a fallback request is rejected, never silently ignored.
+    let plan = FaultPlan::from_env()?;
+    if cfg.base.fallback || plan.is_some_and(|p| !p.is_empty()) {
+        return Err(PartitionError::Config(
+            "fault injection and fallback need a single device".to_string(),
+        ));
+    }
 
     let t0 = std::time::Instant::now();
     let base = &cfg.base;
@@ -269,9 +270,9 @@ pub fn partition_multi(
     // Overlap timeline (DESIGN.md §16): ops are recorded at the same
     // phase boundaries the serialized ledger charges, with explicit event
     // dependencies, and evaluated into a critical-path schedule at the
-    // end. Pure accounting — the pipeline never consults it, so the
-    // partition and the ledger are byte-identical with overlap off.
-    let mut tl = base.overlap.then(Timeline::new);
+    // end. Pure accounting — the pipeline never consults it, so it
+    // cannot perturb the partition or the ledger.
+    let mut tl = Timeline::new();
     // last device-side op per device (the dep target for cross-engine
     // edges: halo exchanges, downloads, allreduce legs)
     let mut last_comp: Vec<EventId> = Vec::new();
@@ -296,12 +297,10 @@ pub fn partition_multi(
     // granularity treats bandwidth as dominant (PCIe latency is µs
     // against ms-scale shard uploads).
     let mut shard_chunk_ids: Vec<Vec<EventId>> = vec![Vec::new(); d];
-    if let Some(tl) = tl.as_mut() {
-        let chunk = ledger.phases.last().map_or(0.0, |(_, s)| *s) / (d * UPLOAD_CHUNKS) as f64;
-        for ids in shard_chunk_ids.iter_mut() {
-            for _ in 0..UPLOAD_CHUNKS {
-                ids.push(tl.record(EngineId::Cpu, "cpu:mg:shard", chunk, &[]));
-            }
+    let chunk = ledger.phases.last().map_or(0.0, |(_, s)| *s) / (d * UPLOAD_CHUNKS) as f64;
+    for ids in shard_chunk_ids.iter_mut() {
+        for _ in 0..UPLOAD_CHUNKS {
+            ids.push(tl.record(EngineId::Cpu, "cpu:mg:shard", chunk, &[]));
         }
     }
     // Distinct border slots receiver j references on owner i — the
@@ -356,22 +355,19 @@ pub fn partition_multi(
         Ok(())
     }))?;
     ledger.seconds("xfer:h2d:graph(multi,max)", max_delta(&group, &before));
-    if let Some(tl) = tl.as_mut() {
-        let dl = deltas(&group, &before);
-        for (i, &dur) in dl.iter().enumerate() {
-            // One chunk per shard chunk; copy-engine chaining serializes the
-            // chunks while each waits only for its slice of the shard cut.
-            let mut last = None;
-            for &sid in &shard_chunk_ids[i] {
-                last = Some(tl.record(
-                    EngineId::H2D(i as u32),
-                    "xfer:h2d:graph",
-                    dur / UPLOAD_CHUNKS as f64,
-                    &[sid],
-                ));
-            }
-            last_comp.push(last.expect("UPLOAD_CHUNKS > 0"));
+    for (i, &dur) in deltas(&group, &before).iter().enumerate() {
+        // One chunk per shard chunk; copy-engine chaining serializes the
+        // chunks while each waits only for its slice of the shard cut.
+        let mut last = None;
+        for &sid in &shard_chunk_ids[i] {
+            last = Some(tl.record(
+                EngineId::H2D(i as u32),
+                "xfer:h2d:graph",
+                dur / UPLOAD_CHUNKS as f64,
+                &[sid],
+            ));
         }
+        last_comp.push(last.expect("UPLOAD_CHUNKS > 0"));
     }
 
     // --- coarsening supersteps (concurrent, one level each) ------------
@@ -439,12 +435,10 @@ pub fn partition_multi(
             Ok(true)
         }))?;
         gpu_coarsen_secs += max_delta(&group, &before);
-        if let Some(tl) = tl.as_mut() {
-            for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-                if dur > 0.0 {
-                    last_comp[i] =
-                        tl.record(EngineId::Compute(i as u32), "gpu:coarsen", dur, &[last_comp[i]]);
-                }
+        for (i, &dur) in deltas(&group, &before).iter().enumerate() {
+            if dur > 0.0 {
+                last_comp[i] =
+                    tl.record(EngineId::Compute(i as u32), "gpu:coarsen", dur, &[last_comp[i]]);
             }
         }
         // Boundary-cmap halo exchange: every device that finished a level
@@ -459,14 +453,12 @@ pub fn partition_multi(
             for (&(_, j), &slots) in needed.range((i, 0)..(i + 1, 0)) {
                 let secs = ic.record(i as u32, j as u32, 4 * slots);
                 comm.add(secs, i as u32, j as u32);
-                if let Some(tl) = tl.as_mut() {
-                    coarsen_exchange_ids.push(tl.record(
-                        EngineId::Link(i as u32, j as u32),
-                        "ic:coarsen:halo",
-                        secs,
-                        &[last_comp[i]],
-                    ));
-                }
+                coarsen_exchange_ids.push(tl.record(
+                    EngineId::Link(i as u32, j as u32),
+                    "ic:coarsen:halo",
+                    secs,
+                    &[last_comp[i]],
+                ));
             }
         }
         ic_coarsen_secs += comm.max();
@@ -488,15 +480,13 @@ pub fn partition_multi(
     }))?;
     ledger.seconds("xfer:d2h:coarse(multi,max)", max_delta(&group, &before));
     let mut d2h_coarse_ids: Vec<EventId> = Vec::new();
-    if let Some(tl) = tl.as_mut() {
-        for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-            d2h_coarse_ids.push(tl.record(
-                EngineId::D2H(i as u32),
-                "xfer:d2h:coarse",
-                dur,
-                &[last_comp[i]],
-            ));
-        }
+    for (i, &dur) in deltas(&group, &before).iter().enumerate() {
+        d2h_coarse_ids.push(tl.record(
+            EngineId::D2H(i as u32),
+            "xfer:d2h:coarse",
+            dur,
+            &[last_comp[i]],
+        ));
     }
 
     // --- merge coarsest shards + cross edges on the host ---------------
@@ -543,22 +533,17 @@ pub fn partition_multi(
         &model,
         Work::new(merged.adjncy.len() as u64, merged.n() as u64).with_ws(merged.bytes()),
     );
-    if let Some(tl) = tl.as_mut() {
-        // the merge needs every coarse shard and every exchanged bmap
-        let deps: Vec<EventId> =
-            d2h_coarse_ids.iter().chain(&coarsen_exchange_ids).copied().collect();
-        let secs = ledger.phases.last().map_or(0.0, |(_, s)| *s);
-        tl.record(EngineId::Cpu, "cpu:mg:merge", secs, &deps);
-    }
+    // the merge needs every coarse shard and every exchanged bmap
+    let deps: Vec<EventId> = d2h_coarse_ids.iter().chain(&coarsen_exchange_ids).copied().collect();
+    let secs = ledger.phases.last().map_or(0.0, |(_, s)| *s);
+    tl.record(EngineId::Cpu, "cpu:mg:merge", secs, &deps);
 
     // --- CPU partitions the merged coarse graph ------------------------
     let mid = gpm_mtmetis::partition(&merged, &crate::mt_config(base));
     let mut mt_done: Option<EventId> = None;
     for (name, secs) in &mid.ledger.phases {
         ledger.seconds(&format!("cpu:{name}"), *secs);
-        if let Some(tl) = tl.as_mut() {
-            mt_done = Some(tl.record(EngineId::Cpu, &format!("cpu:{name}"), *secs, &[]));
-        }
+        mt_done = Some(tl.record(EngineId::Cpu, &format!("cpu:{name}"), *secs, &[]));
     }
     let mut global_pw = vec![0u32; k];
     for (c, &p) in mid.part.iter().enumerate() {
@@ -576,11 +561,9 @@ pub fn partition_multi(
     }))?;
     ledger.seconds("xfer:h2d:part(multi,max)", max_delta(&group, &before));
     let mut scatter_ids: Vec<EventId> = Vec::new();
-    if let Some(tl) = tl.as_mut() {
-        let deps: Vec<EventId> = mt_done.into_iter().collect();
-        for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-            scatter_ids.push(tl.record(EngineId::H2D(i as u32), "xfer:h2d:part", dur, &deps));
-        }
+    let deps: Vec<EventId> = mt_done.into_iter().collect();
+    for (i, &dur) in deltas(&group, &before).iter().enumerate() {
+        scatter_ids.push(tl.record(EngineId::H2D(i as u32), "xfer:h2d:part", dur, &deps));
     }
 
     // --- uncoarsening supersteps ---------------------------------------
@@ -707,15 +690,13 @@ pub fn partition_multi(
                 let v_inc = n_aug as u64;
                 halo_edge_works[j] += e_inc;
                 halo_vert_works[j] += v_inc;
-                if let Some(tl) = tl.as_mut() {
-                    // Layouts read only coarsening-era data (shard stubs
-                    // and bmap snapshots), so the CPU lane prepares step
-                    // s+1's layouts while the devices still refine step s.
-                    let w = Work::new(e_inc, v_inc).seconds(&model);
-                    let id = tl.record(EngineId::Cpu, "cpu:mg:halo", w, &[]);
-                    layout_ids[j] = Some(id);
-                    halo_ops.push((id, w));
-                }
+                // Layouts read only coarsening-era data (shard stubs
+                // and bmap snapshots), so the CPU lane prepares step
+                // s+1's layouts while the devices still refine step s.
+                let w = Work::new(e_inc, v_inc).seconds(&model);
+                let id = tl.record(EngineId::Cpu, "cpu:mg:halo", w, &[]);
+                layout_ids[j] = Some(id);
+                halo_ops.push((id, w));
                 layouts[j] = Some(HaloLayout { aug_xadj, extra_off, extra_adj, extra_w });
                 gviews[j] = Some((slots, fine_to_slot));
             }
@@ -765,18 +746,16 @@ pub fn partition_multi(
             Ok(())
         }))?;
         gpu_uncoarsen_secs += max_delta(&group, &before);
-        if let Some(tl) = tl.as_mut() {
-            for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                // projection + halo-graph assembly: needs this step's
-                // layout (CPU lane) and, on the first active step, the
-                // scattered coarse slice
-                let deps = [layout_ids[i].unwrap(), scatter_ids[i]];
-                last_comp[i] =
-                    tl.record(EngineId::Compute(i as u32), "gpu:uncoarsen:project", dur, &deps);
+        for (i, &dur) in deltas(&group, &before).iter().enumerate() {
+            if !active[i] {
+                continue;
             }
+            // projection + halo-graph assembly: needs this step's
+            // layout (CPU lane) and, on the first active step, the
+            // scattered coarse slice
+            let deps = [layout_ids[i].unwrap(), scatter_ids[i]];
+            last_comp[i] =
+                tl.record(EngineId::Compute(i as u32), "gpu:uncoarsen:project", dur, &deps);
         }
 
         // Full ghost-label exchange: after projection every active device
@@ -811,18 +790,12 @@ pub fn partition_multi(
                 for (own, bytes) in per_owner {
                     let secs = ic.record(own, j as u32, bytes);
                     comm.add(secs, own, j as u32);
-                    if let Some(tl) = tl.as_mut() {
-                        // reads the owner's projected labels, lands in the
-                        // receiver's ghost slots
-                        let deps = [last_comp[own as usize], last_comp[j]];
-                        let id = tl.record(
-                            EngineId::Link(own, j as u32),
-                            "ic:refine:labels",
-                            secs,
-                            &deps,
-                        );
-                        ghost_deps[j].push(id);
-                    }
+                    // reads the owner's projected labels, lands in the
+                    // receiver's ghost slots
+                    let deps = [last_comp[own as usize], last_comp[j]];
+                    let id =
+                        tl.record(EngineId::Link(own, j as u32), "ic:refine:labels", secs, &deps);
+                    ghost_deps[j].push(id);
                 }
             }
             ic_label_secs += comm.max();
@@ -877,33 +850,31 @@ pub fn partition_multi(
                     )
                 }))?;
             gpu_uncoarsen_secs += max_delta(&group, &before);
-            if let Some(tl) = tl.as_mut() {
-                for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-                    if !active[i] {
-                        continue;
-                    }
-                    // Interior vertices carry no ghost edges, so their
-                    // share of the pass needs only the previous pass's
-                    // allreduce result (capacity headroom) and runs while
-                    // the boundary's label traffic is still in flight; the
-                    // boundary portion then consumes the shipped labels
-                    // (two kernel launches, interior first).
-                    let f = bfrac[i];
-                    let caps = std::mem::take(&mut caps_deps[i]);
-                    tl.record(
-                        EngineId::Compute(i as u32),
-                        "gpu:uncoarsen:pass",
-                        dur * (1.0 - f),
-                        &caps,
-                    );
-                    let ghosts = std::mem::take(&mut ghost_deps[i]);
-                    last_comp[i] = tl.record(
-                        EngineId::Compute(i as u32),
-                        "gpu:uncoarsen:pass:boundary",
-                        dur * f,
-                        &ghosts,
-                    );
+            for (i, &dur) in deltas(&group, &before).iter().enumerate() {
+                if !active[i] {
+                    continue;
                 }
+                // Interior vertices carry no ghost edges, so their
+                // share of the pass needs only the previous pass's
+                // allreduce result (capacity headroom) and runs while
+                // the boundary's label traffic is still in flight; the
+                // boundary portion then consumes the shipped labels
+                // (two kernel launches, interior first).
+                let f = bfrac[i];
+                let caps = std::mem::take(&mut caps_deps[i]);
+                tl.record(
+                    EngineId::Compute(i as u32),
+                    "gpu:uncoarsen:pass",
+                    dur * (1.0 - f),
+                    &caps,
+                );
+                let ghosts = std::mem::take(&mut ghost_deps[i]);
+                last_comp[i] = tl.record(
+                    EngineId::Compute(i as u32),
+                    "gpu:uncoarsen:pass:boundary",
+                    dur * f,
+                    &ghosts,
+                );
             }
             let total: u64 = res.iter().map(|r| r.0).sum();
             {
@@ -927,15 +898,13 @@ pub fn partition_multi(
                     entries.sort_unstable();
                     let secs = ic.record(i as u32, j as u32, 4 * entries.len() as u64);
                     comm.add(secs, i as u32, j as u32);
-                    if let Some(tl) = tl.as_mut() {
-                        let id = tl.record(
-                            EngineId::Link(i as u32, j as u32),
-                            "ic:refine:labels",
-                            secs,
-                            &[last_comp[i]],
-                        );
-                        ghost_deps[j].push(id);
-                    }
+                    let id = tl.record(
+                        EngineId::Link(i as u32, j as u32),
+                        "ic:refine:labels",
+                        secs,
+                        &[last_comp[i]],
+                    );
+                    ghost_deps[j].push(id);
                     let base_slot = sts[j].n_local;
                     let jpart = sts[j].part.as_ref().unwrap();
                     for (slot, label) in entries {
@@ -969,14 +938,12 @@ pub fn partition_multi(
                     if i as u32 != root {
                         let secs = ic.record_host_leg(i as u32, root, 4 * k as u64);
                         comm.add(secs, i as u32, root);
-                        if let Some(tl) = tl.as_mut() {
-                            gather_ids.push(tl.record(
-                                EngineId::Link(i as u32, root),
-                                "ic:refine:allreduce",
-                                secs,
-                                &[last_comp[i]],
-                            ));
-                        }
+                        gather_ids.push(tl.record(
+                            EngineId::Link(i as u32, root),
+                            "ic:refine:allreduce",
+                            secs,
+                            &[last_comp[i]],
+                        ));
                     }
                 }
                 // scatter legs: the reduced weights leave only after every
@@ -987,19 +954,15 @@ pub fn partition_multi(
                     }
                     let secs = ic.record_host_leg(root, i as u32, 4 * k as u64);
                     comm.add(secs, root, i as u32);
-                    if let Some(tl) = tl.as_mut() {
-                        let id = tl.record(
-                            EngineId::Link(root, i as u32),
-                            "ic:refine:allreduce",
-                            secs,
-                            &gather_ids,
-                        );
-                        caps_deps[i].push(id);
-                    }
+                    let id = tl.record(
+                        EngineId::Link(root, i as u32),
+                        "ic:refine:allreduce",
+                        secs,
+                        &gather_ids,
+                    );
+                    caps_deps[i].push(id);
                 }
-                if tl.is_some() {
-                    caps_deps[root as usize].extend(gather_ids);
-                }
+                caps_deps[root as usize].extend(gather_ids);
                 ic_allreduce_secs += comm.max();
                 for (q, nw) in next.iter().enumerate() {
                     global_pw[q] = *nw as u32;
@@ -1029,15 +992,13 @@ pub fn partition_multi(
     let works: Vec<Work> =
         halo_edge_works.iter().zip(&halo_vert_works).map(|(&e, &v)| Work::new(e, v)).collect();
     ledger.parallel("cpu:mg:halo", &model, &works, lmax as u64);
-    if let Some(tl) = tl.as_mut() {
-        // Rescale the provisional layout ops so the CPU lane's busy time
-        // equals the phase charge exactly (the ledger models the layouts
-        // as thread-parallel; the lane runs at that wall-clock rate).
-        let t_halo = ledger.phases.last().map_or(0.0, |(_, s)| *s);
-        let wsum: f64 = halo_ops.iter().map(|&(_, w)| w).sum();
-        for &(id, w) in &halo_ops {
-            tl.set_duration(id, if wsum > 0.0 { t_halo * (w / wsum) } else { 0.0 });
-        }
+    // Rescale the provisional layout ops so the CPU lane's busy time
+    // equals the phase charge exactly (the ledger models the layouts
+    // as thread-parallel; the lane runs at that wall-clock rate).
+    let t_halo = ledger.phases.last().map_or(0.0, |(_, s)| *s);
+    let wsum: f64 = halo_ops.iter().map(|&(_, w)| w).sum();
+    for &(id, w) in &halo_ops {
+        tl.set_duration(id, if wsum > 0.0 { t_halo * (w / wsum) } else { 0.0 });
     }
     ledger.seconds("gpu:uncoarsen(multi,max)", gpu_uncoarsen_secs);
     ledger.seconds("ic:refine:labels", ic_label_secs);
@@ -1051,10 +1012,8 @@ pub fn partition_multi(
         group.device(i).d2h(&dpart)
     }))?;
     ledger.seconds("xfer:d2h:part(multi,max)", max_delta(&group, &before));
-    if let Some(tl) = tl.as_mut() {
-        for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-            tl.record(EngineId::D2H(i as u32), "xfer:d2h:part", dur, &[last_comp[i]]);
-        }
+    for (i, &dur) in deltas(&group, &before).iter().enumerate() {
+        tl.record(EngineId::D2H(i as u32), "xfer:d2h:part", dur, &[last_comp[i]]);
     }
     let mut part = vec![0u32; n];
     let (gpu_levels, peaks, transfer_bytes) = {
@@ -1076,7 +1035,7 @@ pub fn partition_multi(
     let edge_cut = gpm_graph::metrics::edge_cut(g, &part);
     let imbalance = gpm_graph::metrics::imbalance(g, &part, k);
     let levels = gpu_levels.iter().max().copied().unwrap_or(0) + mid.levels;
-    let overlap = tl.map(|t| t.report(ledger.total()));
+    let overlap = Some(tl.report(ledger.total()));
     Ok(MultiGpuResult {
         result: PartitionResult {
             part,
@@ -1100,195 +1059,6 @@ pub fn partition_multi(
     })
 }
 
-/// The original fold-and-stitch prototype, kept as the quality baseline:
-/// cross-shard edges are held out of coarsening, devices refine blind to
-/// each other, and a final CPU pass repairs the seams. The halo pipeline
-/// ([`partition_multi`]) must never produce a worse cut than this.
-pub fn partition_multi_stitch(
-    g: &CsrGraph,
-    cfg: &MultiGpuConfig,
-) -> Result<MultiGpuResult, PartitionError> {
-    if cfg.devices == 0 {
-        return Err(PartitionError::Config("device count must be at least 1".to_string()));
-    }
-    let t0 = std::time::Instant::now();
-    let d = cfg.devices;
-    let base = &cfg.base;
-    let n = g.n();
-    let mut ledger = CostLedger::new();
-    let max_vwgt = CoarsenConfig::for_k(base.k).max_vwgt(g.total_vwgt());
-
-    // --- split into contiguous blocks and hold out cross edges ---------
-    let block_of = |u: usize| (u * d / n.max(1)).min(d - 1);
-    let mut cross: Vec<(Vid, Vid, u32)> = Vec::new();
-    for u in 0..n as Vid {
-        for (v, w) in g.edges(u) {
-            if u < v && block_of(u as usize) != block_of(v as usize) {
-                cross.push((u, v, w));
-            }
-        }
-    }
-    let mut subgraphs: Vec<(CsrGraph, Vec<Vid>)> = Vec::with_capacity(d);
-    for dev_id in 0..d {
-        let select: Vec<bool> = (0..n).map(|u| block_of(u) == dev_id).collect();
-        subgraphs.push(induced_subgraph(g, &select));
-    }
-    // old -> (device, local id)
-    let mut local_of = vec![(0u32, 0u32); n];
-    for (dev_id, (_, map)) in subgraphs.iter().enumerate() {
-        for (lid, &old) in map.iter().enumerate() {
-            local_of[old as usize] = (dev_id as u32, lid as u32);
-        }
-    }
-
-    // --- per-device GPU coarsening (modeled as concurrent) --------------
-    struct DeviceState {
-        dev: Device,
-        levels: Vec<GpuLevel>,
-        coarse_host: CsrGraph,
-        composed_cmap: Vec<u32>,
-        peak: u64,
-    }
-    let mut states: Vec<DeviceState> = Vec::with_capacity(d);
-    for (sub, _) in &subgraphs {
-        let dev = Device::new(base.gpu.clone());
-        let g0 = GpuCsr::upload(&dev, sub)?;
-        let outcome: CoarsenOutcome =
-            gpu_coarsen_loop(&dev, g0, sub.uniform_edge_weights(), max_vwgt, base, None, None)?;
-        // compose the cmap chain on the host (the merge step needs the
-        // fine-to-coarsest mapping for the held-out cross edges)
-        let mut composed: Vec<u32> = (0..sub.n() as u32).collect();
-        for level in &outcome.levels {
-            let cm = dev.d2h(&level.cmap)?;
-            for c in composed.iter_mut() {
-                *c = cm[*c as usize];
-            }
-        }
-        let coarse_host = outcome.coarsest.download(&dev)?;
-        let peak = outcome.peak_mem.max(dev.mem_used());
-        states.push(DeviceState {
-            dev,
-            levels: outcome.levels,
-            coarse_host,
-            composed_cmap: composed,
-            peak,
-        });
-    }
-    // devices ran concurrently: charge the slowest
-    let coarsen_max = states.iter().map(|s| s.dev.elapsed()).fold(0.0f64, f64::max);
-    ledger.seconds("gpu:coarsen(multi,max)", coarsen_max);
-
-    // --- merge the coarse subgraphs + cross edges on the host -----------
-    let mut offsets = vec![0 as Vid; d + 1];
-    for (i, s) in states.iter().enumerate() {
-        offsets[i + 1] = offsets[i] + s.coarse_host.n() as Vid;
-    }
-    let nc_total = offsets[d] as usize;
-    let mut b = GraphBuilder::new(nc_total);
-    let mut vwgt = vec![0u32; nc_total];
-    for (i, s) in states.iter().enumerate() {
-        let off = offsets[i];
-        for c in 0..s.coarse_host.n() as Vid {
-            vwgt[(off + c) as usize] = s.coarse_host.vwgt[c as usize];
-            for (x, w) in s.coarse_host.edges(c) {
-                if c < x {
-                    b.add_edge(off + c, off + x, w);
-                }
-            }
-        }
-    }
-    for &(u, v, w) in &cross {
-        let (du, lu) = local_of[u as usize];
-        let (dv, lv) = local_of[v as usize];
-        let cu = offsets[du as usize] + states[du as usize].composed_cmap[lu as usize] as Vid;
-        let cv = offsets[dv as usize] + states[dv as usize].composed_cmap[lv as usize] as Vid;
-        if cu != cv {
-            b.add_edge(cu, cv, w);
-        }
-    }
-    let merged = b.vertex_weights(vwgt).build();
-    let model = CpuModel::xeon_e5540(base.cpu_threads);
-    ledger.serial(
-        "cpu:merge",
-        &model,
-        Work::new(merged.adjncy.len() as u64, nc_total as u64).with_ws(merged.bytes()),
-    );
-
-    // --- CPU partitions the merged coarse graph --------------------------
-    let mid = gpm_mtmetis::partition(&merged, &crate::mt_config(base));
-    ledger.extend(&mid.ledger);
-    let merged_part = mid.part;
-
-    // --- per-device GPU uncoarsening -------------------------------------
-    let maxw = gpm_graph::metrics::max_part_weight(g.total_vwgt(), base.k, base.ubfactor);
-    let maxw = u32::try_from(maxw).map_err(|_| PartitionError::WeightOverflow)?;
-    let mut part = vec![0u32; n];
-    let mut uncoarsen_max = 0.0f64;
-    let mut gpu_levels = Vec::with_capacity(d);
-    let mut peaks = Vec::with_capacity(d);
-    let mut transfer_bytes = 0u64;
-    for (i, s) in states.iter().enumerate() {
-        let before = s.dev.elapsed();
-        let slice: Vec<u32> =
-            (offsets[i]..offsets[i + 1]).map(|c| merged_part[c as usize]).collect();
-        let dpart = s.dev.h2d(&slice)?;
-        let (dpart, _) = gpu_uncoarsen_loop(&s.dev, &s.levels, dpart, maxw, base, None)?;
-        let fine = s.dev.d2h(&dpart)?;
-        for (lid, &old) in subgraphs[i].1.iter().enumerate() {
-            part[old as usize] = fine[lid];
-        }
-        uncoarsen_max = uncoarsen_max.max(s.dev.elapsed() - before);
-        gpu_levels.push(s.levels.len());
-        peaks.push(s.peak.max(s.dev.mem_used()));
-        transfer_bytes += s.dev.transfer_bytes_total();
-    }
-    ledger.seconds("gpu:uncoarsen(multi,max)", uncoarsen_max);
-
-    // --- final CPU pass over the cross-device boundaries -----------------
-    // devices never saw each other's blocks, so both balance and the
-    // cross-block cut need one host-side repair + refinement pass
-    {
-        let mut w = Work::default().with_ws(g.bytes());
-        gpm_metis::kway::kway_balance(g, &mut part, base.k, base.ubfactor, &mut w);
-        ledger.serial("cpu:boundary-balance", &model, w);
-    }
-    let (_stats, works) = gpm_mtmetis::prefine::parallel_refine(
-        g,
-        &mut part,
-        base.k,
-        base.ubfactor,
-        2,
-        base.cpu_threads,
-    );
-    ledger.parallel("cpu:boundary-refine", &model, &works, 2);
-
-    let boundary_vertices = BoundaryTracker::build(g, &part).boundary_count();
-    let edge_cut = gpm_graph::metrics::edge_cut(g, &part);
-    let imbalance = gpm_graph::metrics::imbalance(g, &part, base.k);
-    let levels = gpu_levels.iter().max().copied().unwrap_or(0) + mid.levels;
-    Ok(MultiGpuResult {
-        result: PartitionResult {
-            part,
-            k: base.k,
-            edge_cut,
-            imbalance,
-            ledger,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            levels,
-        },
-        devices: d,
-        gpu_levels,
-        peak_device_bytes: peaks,
-        transfer_bytes,
-        link_stats: Vec::new(),
-        interconnect_bytes: 0,
-        interconnect_seconds: 0.0,
-        boundary_vertices,
-        report: RunReport::default(),
-        overlap: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1301,16 +1071,17 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_devices() {
+    fn rejects_zero_devices_and_multi_device_fallback() {
         let g = delaunay_like(1_000, 5);
-        match partition_multi(&g, &MultiGpuConfig::new(base(4), 0)) {
-            Err(PartitionError::Config(msg)) => assert!(msg.contains("device")),
-            other => panic!("expected Config error, got {other:?}"),
+        for (cfg, why) in [
+            (MultiGpuConfig::new(base(4), 0), "device count"),
+            (MultiGpuConfig::new(base(4).with_fallback(true), 2), "single device"),
+        ] {
+            match partition_multi(&g, &cfg) {
+                Err(PartitionError::Config(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("expected Config error, got {other:?}"),
+            }
         }
-        assert!(matches!(
-            partition_multi_stitch(&g, &MultiGpuConfig::new(base(4), 0)),
-            Err(PartitionError::Config(_))
-        ));
     }
 
     #[test]
@@ -1366,20 +1137,20 @@ mod tests {
 
     #[test]
     fn halo_never_worse_than_stitch_on_generator_suite() {
-        let suite: Vec<(CsrGraph, &str)> = vec![
-            (delaunay_like(4_000, 3), "delaunay"),
-            (hugebubbles_like(6_000), "hugebubbles"),
-            (usa_roads_like(4_000, 5), "usa-roads"),
+        // Edge cuts of the retired fold-and-stitch prototype (cross edges
+        // held out of coarsening, blind per-device refinement, CPU seam
+        // repair) on this suite at D=2, frozen as ceilings.
+        let suite: Vec<(CsrGraph, &str, u64)> = vec![
+            (delaunay_like(4_000, 3), "delaunay", 543),
+            (hugebubbles_like(6_000), "hugebubbles", 238),
+            (usa_roads_like(4_000, 5), "usa-roads", 71),
         ];
-        for (g, name) in &suite {
-            let cfg = MultiGpuConfig::new(base(8), 2);
-            let halo = partition_multi(g, &cfg).unwrap();
-            let stitch = partition_multi_stitch(g, &cfg).unwrap();
+        for (g, name, stitch_cut) in &suite {
+            let halo = partition_multi(g, &MultiGpuConfig::new(base(8), 2)).unwrap();
             assert!(
-                halo.result.edge_cut <= stitch.result.edge_cut,
-                "{name}: halo {} vs stitch {}",
-                halo.result.edge_cut,
-                stitch.result.edge_cut
+                halo.result.edge_cut <= *stitch_cut,
+                "{name}: halo {} vs stitch {stitch_cut}",
+                halo.result.edge_cut
             );
         }
     }
@@ -1443,13 +1214,5 @@ mod tests {
         assert!(l.total_for("ic:refine:") > 0.0);
         // the halo path has no CPU seam-repair phase
         assert_eq!(l.total_for("cpu:boundary-refine"), 0.0);
-    }
-
-    #[test]
-    fn stitch_prototype_still_partitions() {
-        let g = delaunay_like(4_000, 3);
-        let r = partition_multi_stitch(&g, &MultiGpuConfig::new(base(8), 2)).unwrap();
-        validate_partition(&g, &r.result.part, 8, 1.15).unwrap();
-        assert!(r.result.ledger.total_for("cpu:boundary-refine") > 0.0);
     }
 }

@@ -8,7 +8,6 @@
 //! reuse them for their serial sub-steps.
 
 pub mod adaptive;
-pub mod band;
 pub mod coarsen;
 pub mod contract;
 pub mod cost;

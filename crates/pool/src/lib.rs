@@ -472,8 +472,26 @@ where
 
 /// A parked dedicated thread awaiting one blocking task at a time.
 struct Seat {
-    job: Mutex<Option<(RawTask, usize)>>,
+    job: Mutex<Option<(RawTask, usize, Arc<Countdown>)>>,
     cv: Condvar,
+}
+
+/// Outstanding tasks of one [`scoped_blocking`] call. Heap-shared so a
+/// seat can signal it after its task returned and it rejoined the idle
+/// list.
+struct Countdown {
+    left: Mutex<usize>,
+    cv: Condvar,
+}
+
+impl Countdown {
+    fn done_one(&self) {
+        let mut left = self.left.lock().unwrap();
+        *left -= 1;
+        if *left == 0 {
+            self.cv.notify_all();
+        }
+    }
 }
 
 struct BlockingShared {
@@ -489,7 +507,7 @@ fn blocking_shared() -> &'static BlockingShared {
 
 fn blocking_loop(seat: Arc<Seat>, shared: &'static BlockingShared) {
     loop {
-        let (task, index) = {
+        let (task, index, countdown) = {
             let mut j = seat.job.lock().unwrap();
             loop {
                 if let Some(job) = j.take() {
@@ -498,10 +516,13 @@ fn blocking_loop(seat: Arc<Seat>, shared: &'static BlockingShared) {
                 j = seat.cv.wait(j).unwrap();
             }
         };
-        // Safety: see `RawTask` — the submitter blocks until every task
-        // completed, and completion is recorded inside the closure itself.
+        // Safety: see `RawTask` — the submitter blocks on `countdown`,
+        // which is signalled only after this call returned.
         unsafe { (*task.0)(index) };
+        // Idle again *before* signalling, so the submitter's next call
+        // reuses this seat instead of spawning another.
         shared.idle.lock().unwrap().push(seat.clone());
+        countdown.done_one();
     }
 }
 
@@ -521,24 +542,14 @@ where
     BLOCKING_TASKS.fetch_add(p as u64, Ordering::Relaxed);
     let slots: Vec<Slot<T>> = (0..p).map(|_| Slot::new()).collect();
     let panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let done = Mutex::new(p);
-    let done_cv = Condvar::new();
-    // Completion is recorded *inside* the erased closure so seats never
-    // touch the submitter's stack after the task returns.
-    let task = |i: usize| {
-        match catch_unwind(AssertUnwindSafe(|| f(i))) {
-            Ok(v) => slots[i].put(v),
-            Err(e) => {
-                let mut pl = panic.lock().unwrap();
-                if pl.is_none() {
-                    *pl = Some(e);
-                }
+    let countdown = Arc::new(Countdown { left: Mutex::new(p), cv: Condvar::new() });
+    let task = |i: usize| match catch_unwind(AssertUnwindSafe(|| f(i))) {
+        Ok(v) => slots[i].put(v),
+        Err(e) => {
+            let mut pl = panic.lock().unwrap();
+            if pl.is_none() {
+                *pl = Some(e);
             }
-        }
-        let mut left = done.lock().unwrap();
-        *left -= 1;
-        if *left == 0 {
-            done_cv.notify_all();
         }
     };
     // Safety: the completion wait below blocks until every task completed.
@@ -560,14 +571,15 @@ where
                 .expect("spawn blocking worker");
             seat
         });
-        *seat.job.lock().unwrap() = Some((raw, i));
+        *seat.job.lock().unwrap() = Some((raw, i, countdown.clone()));
         seat.cv.notify_one();
     }
     task(0);
+    countdown.done_one();
 
-    let mut left = done.lock().unwrap();
+    let mut left = countdown.left.lock().unwrap();
     while *left > 0 {
-        left = done_cv.wait(left).unwrap();
+        left = countdown.cv.wait(left).unwrap();
     }
     drop(left);
 
@@ -713,8 +725,18 @@ mod tests {
         assert_eq!(out, (0..8).map(|i| i * 28).collect::<Vec<_>>());
     }
 
+    /// The seat cache is process-wide and tests run on parallel threads:
+    /// tests that take seats hold this lock, so the seat bound in
+    /// `scoped_blocking_reuses_seats` does not count other tests' seats.
+    static SEATS: Mutex<()> = Mutex::new(());
+
+    fn seats() -> std::sync::MutexGuard<'static, ()> {
+        SEATS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn scoped_blocking_tasks_can_wait_on_each_other() {
+        let _seats = seats();
         // p tasks all meet at a barrier: impossible without p live threads
         let p = 6;
         let barrier = std::sync::Barrier::new(p);
@@ -727,6 +749,7 @@ mod tests {
 
     #[test]
     fn scoped_blocking_reuses_seats() {
+        let _seats = seats();
         for round in 0..5u64 {
             let out = scoped_blocking(4, |i| round * 10 + i as u64);
             assert_eq!(out, (0..4).map(|i| round * 10 + i).collect::<Vec<u64>>());
@@ -737,6 +760,7 @@ mod tests {
 
     #[test]
     fn scoped_blocking_propagates_panics() {
+        let _seats = seats();
         let r = catch_unwind(AssertUnwindSafe(|| {
             scoped_blocking(3, |i| {
                 if i == 2 {
@@ -752,6 +776,7 @@ mod tests {
 
     #[test]
     fn stats_counters_are_monotonic() {
+        let _seats = seats();
         let before = stats();
         parallel_chunks(9, |i| i);
         scoped_blocking(3, |i| i);

@@ -589,20 +589,6 @@ fn admit(
     conn_jobs: &Arc<AtomicU64>,
     sh: &Arc<Shared>,
 ) {
-    if sh.shutdown.load(Ordering::SeqCst) {
-        sh.counters.rejected_shutdown.fetch_add(1, Ordering::SeqCst);
-        send(
-            out,
-            FT_REJECT,
-            &protocol::encode_reject(
-                req.tag,
-                RejectCode::ShuttingDown,
-                0,
-                "daemon is shutting down",
-            ),
-        );
-        return;
-    }
     let fp = cache::job_fingerprint(&req);
     if sh.poison.is_quarantined(fp) {
         sh.counters.quarantined.fetch_add(1, Ordering::SeqCst);
@@ -621,6 +607,25 @@ fn admit(
         return;
     }
     let mut q = lock(&sh.queue);
+    // Read the shutdown flag under the queue lock: the shutdown handler
+    // sets it and then waits on this lock for an empty queue, so a job is
+    // either queued before that wait (and served) or rejected here —
+    // never queued after the workers have exited.
+    if sh.shutdown.load(Ordering::SeqCst) {
+        drop(q);
+        sh.counters.rejected_shutdown.fetch_add(1, Ordering::SeqCst);
+        send(
+            out,
+            FT_REJECT,
+            &protocol::encode_reject(
+                req.tag,
+                RejectCode::ShuttingDown,
+                0,
+                "daemon is shutting down",
+            ),
+        );
+        return;
+    }
     if q.jobs.len() + q.in_flight >= sh.cfg.queue_cap {
         let backlog = (q.jobs.len() + q.in_flight) as u32;
         drop(q);
@@ -824,6 +829,20 @@ fn reject_deadline(
     );
 }
 
+/// The hybrid-engine configuration a GP-metis job runs with. Shared with
+/// in-process reference runs, which must map a request identically to
+/// byte-diff the daemon's answers.
+pub fn gpmetis_config(req: &JobRequest) -> gp_metis::GpMetisConfig {
+    let mut c = gp_metis::GpMetisConfig::new(req.k as usize).with_seed(req.seed);
+    c.ubfactor = req.ub();
+    c.cpu_threads = req.threads as usize;
+    c.fallback = req.fallback;
+    if req.gpu_threshold > 0 {
+        c.gpu_threshold = req.gpu_threshold as usize;
+    }
+    c
+}
+
 /// Run one job through the engine ladder. Returns the partition and
 /// telemetry, or a terminal error message after every rung failed.
 ///
@@ -874,13 +893,7 @@ fn execute(
             }
         }
         Algo::GpMetis => {
-            let mut c = gp_metis::GpMetisConfig::new(k).with_seed(req.seed);
-            c.ubfactor = ub;
-            c.cpu_threads = req.threads as usize;
-            c.fallback = req.fallback;
-            if req.gpu_threshold > 0 {
-                c.gpu_threshold = req.gpu_threshold as usize;
-            }
+            let c = gpmetis_config(req);
             // The breaker-supervised engine: admission may short-circuit
             // the job to the CPU while the device is in cooldown, and the
             // job's fatal/clean outcome feeds the breaker window.

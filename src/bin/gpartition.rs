@@ -7,7 +7,7 @@
 //!            [--gpu-threshold N] [--fallback] [--output out.part] [--quiet]
 //!            [--mmap] [--compressed] [--eval existing.part]
 //!            [--devices D] [--interconnect pcie|nvlink]
-//!            [--overlap on|off] [--timeline]
+//!            [--timeline]
 //! ```
 //!
 //! The input is a Metis `.graph` file (or a DIMACS9 `.gr` file when the
@@ -25,16 +25,16 @@
 //!
 //! Overlap: the gpmetis engines evaluate an overlap-aware execution
 //! timeline (streams, double-buffered transfers, comm/compute overlap —
-//! DESIGN.md §16) alongside the serialized ledger. `--overlap off`
-//! disables it (pure accounting: the partition and the serialized ledger
-//! are byte-identical either way); `--timeline` prints the per-engine
-//! occupancy/stall ledger to stderr. `--overlap=on|off` is accepted too.
+//! DESIGN.md §16) alongside the serialized ledger. It is pure accounting:
+//! the partition and the serialized ledger never depend on it.
+//! `--timeline` prints the per-engine occupancy/stall ledger to stderr.
 //!
 //! Multi-GPU: `--devices D` (gpmetis only) shards the graph across `D`
 //! simulated GPUs joined by the `--interconnect` fabric (`pcie` default,
 //! `nvlink` for peer-to-peer links) and reports a per-device summary and
-//! the per-link transfer ledger on stderr. `--devices 0` is rejected with
-//! a typed configuration error.
+//! the per-link transfer ledger on stderr. `--devices 0`, and a fault
+//! plan or `--fallback` at two or more devices, are rejected with a typed
+//! configuration error.
 //!
 //! Fault injection: set `GPM_FAULTS=<seed>:<spec>[,<spec>...]` to run the
 //! hybrid engine under a deterministic fault schedule (see `gpm-faults`),
@@ -76,7 +76,6 @@ struct Args {
     eval: Option<String>,
     devices: Option<usize>,
     interconnect: String,
-    overlap: bool,
     timeline: bool,
 }
 
@@ -86,8 +85,7 @@ fn usage() -> ! {
          \x20                [--ub 1.03] [--seed 1] [--threads 8] [--ranks 8]\n\
          \x20                [--gpu-threshold N] [--fallback] [--output out.part] [--quiet]\n\
          \x20                [--mmap] [--compressed] [--eval existing.part]\n\
-         \x20                [--devices D] [--interconnect pcie|nvlink]\n\
-         \x20                [--overlap on|off] [--timeline]"
+         \x20                [--devices D] [--interconnect pcie|nvlink] [--timeline]"
     );
     std::process::exit(2);
 }
@@ -113,20 +111,10 @@ fn parse_args() -> Args {
         eval: None,
         devices: None,
         interconnect: "pcie".into(),
-        overlap: true,
         timeline: false,
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--overlap" => {
-                args.overlap = match argv.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--overlap=on" => args.overlap = true,
-            "--overlap=off" => args.overlap = false,
             "--timeline" => args.timeline = true,
             "--algo" => args.algo = argv.next().unwrap_or_else(|| usage()),
             "--ub" => args.ub = argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()),
@@ -270,7 +258,6 @@ fn main() -> ExitCode {
             c.ubfactor = a.ub;
             c.cpu_threads = a.threads;
             c.fallback = a.fallback;
-            c.overlap = a.overlap;
             if let Some(t) = a.gpu_threshold {
                 c.gpu_threshold = t;
             }
@@ -372,9 +359,9 @@ fn main() -> ExitCode {
     if a.timeline {
         match &overlap {
             Some(ov) => eprint!("{}", ov.render()),
-            None => eprintln!(
-                "timeline       : none (overlap off, non-gpmetis engine, or degraded/CPU-only run)"
-            ),
+            None => {
+                eprintln!("timeline       : none (non-gpmetis engine, or degraded/CPU-only run)")
+            }
         }
     }
 

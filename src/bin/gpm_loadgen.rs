@@ -43,6 +43,7 @@ use gp_metis_repro::graph::gen;
 use gp_metis_repro::graph::stream::read_metis_mmap;
 use gpm_graph::rng::SplitMix64;
 use gpm_serve::client::Client;
+use gpm_serve::gpmetis_config;
 use gpm_serve::protocol::{Algo, JobRequest, Response};
 use gpm_testkit::bench::BenchSuite;
 use std::collections::HashMap;
@@ -553,19 +554,6 @@ fn parse_chaos_args(args: Vec<String>) -> ChaosArgs {
     out
 }
 
-/// The engine configuration `execute` derives for a chaos job — the
-/// in-process reference runs must map identically for byte-diffing.
-fn chaos_engine_cfg(req: &JobRequest) -> gp_metis::GpMetisConfig {
-    let mut c = gp_metis::GpMetisConfig::new(req.k as usize).with_seed(req.seed);
-    c.ubfactor = req.ub();
-    c.cpu_threads = req.threads as usize;
-    c.fallback = req.fallback;
-    if req.gpu_threshold > 0 {
-        c.gpu_threshold = req.gpu_threshold as usize;
-    }
-    c
-}
-
 /// A main-connection chaos job: the hybrid engine on a 400-vertex grid
 /// with the GPU stage active.
 fn chaos_job(tag: u64, seed: u64) -> JobRequest {
@@ -775,7 +763,7 @@ fn run_chaos(args: Vec<String>) -> ExitCode {
                     eprintln!("error: cooldown job {i} not served breaker-open: {rep:?}");
                     return ExitCode::FAILURE;
                 }
-                let reference = gp_metis::cpu_only_partition(&req.graph, &chaos_engine_cfg(&req));
+                let reference = gp_metis::cpu_only_partition(&req.graph, &gpmetis_config(&req));
                 if rep.part != reference.result.part {
                     eprintln!("error: cooldown job {i} diverges from cpu_only_partition");
                     return ExitCode::FAILURE;
@@ -797,7 +785,7 @@ fn run_chaos(args: Vec<String>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let reference =
-                gp_metis::partition_with_plan(&probe.graph, &chaos_engine_cfg(&probe), None)
+                gp_metis::partition_with_plan(&probe.graph, &gpmetis_config(&probe), None)
                     .expect("reference probe run");
             if rep.part != reference.result.part {
                 eprintln!("error: probe diverges from fault-free reference");
@@ -819,7 +807,7 @@ fn run_chaos(args: Vec<String>) -> ExitCode {
         match main.submit_wait_retry(&req, 10_000) {
             Ok(Response::Ok(rep)) => {
                 let reference =
-                    gp_metis::partition_with_plan(&req.graph, &chaos_engine_cfg(&req), None)
+                    gp_metis::partition_with_plan(&req.graph, &gpmetis_config(&req), None)
                         .expect("reference run");
                 if rep.part != reference.result.part {
                     eprintln!("error: verify job {i} diverges from fault-free reference");

@@ -153,3 +153,28 @@ fn cli_rejects_a_malformed_fault_plan() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("GPM_FAULTS"), "error should name the variable: {err}");
 }
+
+#[test]
+fn cli_multi_gpu_rejects_fault_plans() {
+    let graph = test_graph_file("multigpu.graph");
+    let cases = [
+        ("garbage", false, "invalid GPM_FAULTS"),
+        ("7:gpu.launch@8=lost", false, "single device"),
+        ("", true, "single device"),
+    ];
+    for (plan, fallback, why) in cases {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_gpartition"));
+        cmd.arg(&graph).args(["8", "--quiet", "--gpu-threshold", "400", "--devices", "2"]);
+        if fallback {
+            cmd.arg("--fallback");
+        }
+        cmd.env_remove("GPM_FAULTS");
+        if !plan.is_empty() {
+            cmd.env("GPM_FAULTS", plan);
+        }
+        let out = cmd.output().unwrap();
+        assert!(!out.status.success(), "plan {plan:?} fallback={fallback} must fail at D=2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(why), "plan {plan:?} fallback={fallback}: {err}");
+    }
+}
