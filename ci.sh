@@ -81,7 +81,14 @@ GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke"
 test -s "$smoke/BENCH_phases.json"
 echo "BENCH_phases.json written and non-empty"
 
-step "pool bench smoke (executor dispatch + pooled phases, validated JSON)"
+step "pool smoke (wake protocol spinning and parking; dispatch bench, validated JSON)"
+# The pool's unit tests, wake-protocol stress included, once per wake
+# path of the global pool: GPM_THREADS=1 fits one participant per core on
+# any host with two or more cores, so idle threads spin before they park;
+# GPM_THREADS=8 oversubscribes hosts with fewer than nine cores, so they
+# park at once (the tests' dedicated pools force both paths regardless).
+GPM_THREADS=1 cargo test -q --offline -p gpm-pool
+GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 cargo test -q --offline -p gpm-pool
 # A panic in the bench binary fails this line; the validator then rejects
 # malformed or truncated output, so a half-written JSON cannot pass.
 GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke" \

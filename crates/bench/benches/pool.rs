@@ -1,12 +1,14 @@
 //! Benchmarks of the persistent work-stealing executor (ISSUE PR 2):
 //! dispatch latency against the per-phase `thread::scope` baseline it
-//! replaced, edge-balanced vs static chunking on skewed graphs, the
+//! replaced, the hand-off latency of the small batches a served job
+//! launches, edge-balanced vs static chunking on skewed graphs, the
 //! pooled mtmetis phases, and an end-to-end guard. Writes
 //! `BENCH_pool.json`.
 //!
-//! The acceptance criterion lives in `dispatch/*`: at 8 logical threads
-//! and tiny scale, `dispatch/pool` median must beat `dispatch/scope` by
-//! >= 2x — the pool skips per-phase thread spawn/join entirely.
+//! The acceptance criterion lives in `dispatch/*`, and the bench asserts
+//! it: at 8 logical threads and tiny scale, `dispatch/pool` median must
+//! beat `dispatch/scope` by >= 2x — the pool skips per-phase thread
+//! spawn/join entirely.
 
 use gpm_graph::gen::{delaunay_like, rmat};
 use gpm_graph::rng::SplitMix64;
@@ -15,6 +17,7 @@ use gpm_mtmetis::prefine::parallel_refine;
 use gpm_mtmetis::util::{chunk_range, chunks_by_edges};
 use gpm_mtmetis::{partition, MtMetisConfig};
 use gpm_testkit::bench::{black_box, scaled, BenchSuite};
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 8;
 
@@ -27,19 +30,56 @@ fn tiny_chunk_work(data: &[u64], t: usize) -> u64 {
 
 fn bench_dispatch(b: &mut BenchSuite) {
     let data: Vec<u64> = (0..4096u64).collect();
+    // spawn the pool's workers before timing, so the first timed
+    // dispatch does not pay for them
+    gpm_pool::global();
     // baseline: what every phase did before this PR — spawn a fresh
     // scoped team per dispatch
-    b.run(&format!("dispatch/scope/{THREADS}"), || {
-        let data = &data;
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (0..THREADS).map(|t| s.spawn(move || tiny_chunk_work(data, t))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
+    let scope = b
+        .run(&format!("dispatch/scope/{THREADS}"), || {
+            let data = &data;
+            std::thread::scope(|s| {
+                let handles: Vec<_> =
+                    (0..THREADS).map(|t| s.spawn(move || tiny_chunk_work(data, t))).collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
+            })
         })
-    });
-    b.run(&format!("dispatch/pool/{THREADS}"), || {
-        gpm_pool::parallel_chunks(THREADS, |t| tiny_chunk_work(&data, t)).into_iter().sum::<u64>()
-    });
+        .median_ns;
+    let pool = b
+        .run(&format!("dispatch/pool/{THREADS}"), || {
+            gpm_pool::parallel_chunks(THREADS, |t| tiny_chunk_work(&data, t))
+                .into_iter()
+                .sum::<u64>()
+        })
+        .median_ns;
+    assert!(
+        scope >= 2 * pool,
+        "dispatch/pool ({pool} ns) must beat dispatch/scope ({scope} ns) by 2x"
+    );
+}
+
+/// Busy-wait for `us` microseconds and return the spin count.
+fn busy(us: u64) -> u64 {
+    let t0 = Instant::now();
+    let mut spins = 0u64;
+    while t0.elapsed() < Duration::from_micros(us) {
+        spins += 1;
+        std::hint::spin_loop();
+    }
+    spins
+}
+
+fn bench_launch(b: &mut BenchSuite) {
+    // The serve launch shape: a served job's kernels on small levels
+    // deal a few warp groups of a few µs each, so the hand-off to the
+    // workers, not the work, sets the batch time. `serial` runs the same
+    // chunks inline: the bar the pool must beat.
+    for us in [5u64, 20] {
+        b.run(&format!("launch/serial/4x{us}us"), || (0..4).map(|_| busy(us)).sum::<u64>());
+        b.run(&format!("launch/pool/4x{us}us"), || {
+            gpm_pool::parallel_chunks(4, |_| busy(us)).into_iter().sum::<u64>()
+        });
+    }
 }
 
 fn bench_chunking(b: &mut BenchSuite) {
@@ -102,6 +142,7 @@ fn bench_end_to_end(b: &mut BenchSuite) {
 fn main() {
     let mut b = BenchSuite::new("pool");
     bench_dispatch(&mut b);
+    bench_launch(&mut b);
     bench_chunking(&mut b);
     bench_phases(&mut b);
     bench_end_to_end(&mut b);

@@ -53,10 +53,6 @@ pub struct GpuConfig {
     pub pcie_bandwidth: f64,
     /// PCIe per-transfer latency in seconds.
     pub pcie_latency: f64,
-    /// Host worker threads used to *execute* kernels (simulation speed
-    /// only — has no effect on modeled time). Defaults to the machine's
-    /// available parallelism.
-    pub host_workers: usize,
     /// Per-lane memory-access trace capacity for the coalescing
     /// accounting; accesses beyond the cap are charged one transaction
     /// each (pessimistic, rarely hit). Values above `u32::MAX` act as
@@ -83,7 +79,6 @@ impl GpuConfig {
             kernel_launch_overhead: 5e-6,
             pcie_bandwidth: 6e9,
             pcie_latency: 10e-6,
-            host_workers: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
             trace_cap: 4096,
         }
     }

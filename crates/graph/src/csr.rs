@@ -300,17 +300,18 @@ impl CsrGraph {
             }
         }
         // Symmetry: for every (u, v, w) there must be a matching (v, u, w).
-        // Sort each adjacency list's (neighbor, weight) pairs once, then
-        // binary-search the reverse edge.
-        let mut sorted: Vec<Vec<(Vid, u32)>> = Vec::with_capacity(n);
-        for u in 0..n as Vid {
-            let mut l: Vec<(Vid, u32)> = self.edges(u).collect();
-            l.sort_unstable();
-            sorted.push(l);
+        // Sort each adjacency list's (neighbor, weight) pairs once, in one
+        // flat copy whose rows `xadj` indexes, then binary-search the
+        // reverse edge.
+        let mut sorted: Vec<(Vid, u32)> =
+            self.adjncy.iter().copied().zip(self.adjwgt.iter().copied()).collect();
+        let row = |u: usize| self.xadj[u] as usize..self.xadj[u + 1] as usize;
+        for u in 0..n {
+            sorted[row(u)].sort_unstable();
         }
         for u in 0..n as Vid {
-            for &(v, w) in &sorted[u as usize] {
-                let rev = &sorted[v as usize];
+            for &(v, w) in &sorted[row(u as usize)] {
+                let rev = &sorted[row(v as usize)];
                 match rev.binary_search_by_key(&u, |&(x, _)| x) {
                     Err(_) => return Err(GraphError::Asymmetric { u, v }),
                     Ok(i) => {

@@ -298,7 +298,7 @@ fn row_chunks_for<I: Copy + Into<u64>>(prefix: &[I], payload: usize) -> Vec<(usi
     }
     gpm_pool::chunks_by_prefix(
         prefix,
-        gpm_pool::grain_for(payload as u64, gpm_pool::global().workers(), 4),
+        gpm_pool::grain_for(payload as u64, gpm_pool::global().participants(), 4),
     )
 }
 

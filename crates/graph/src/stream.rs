@@ -363,7 +363,7 @@ pub fn read_metis_streamed(bytes: &[u8]) -> Result<CsrGraph, IoError> {
     let hdr = metis_header(bytes)?;
     let n = hdr.n;
     let data = &bytes[hdr.data_start..];
-    let parts = gpm_pool::global().workers() * 4;
+    let parts = gpm_pool::global().participants() * 4;
     let ranges = chunk_ranges(data, parts);
 
     // --- pass 1: parallel count ------------------------------------------
@@ -471,7 +471,7 @@ pub fn read_metis_streamed(bytes: &[u8]) -> Result<CsrGraph, IoError> {
     // --- finalize: per-row sort, duplicate check, symmetry verify ----------
     let row_chunks = gpm_pool::chunks_by_prefix(
         &xadj,
-        gpm_pool::grain_for(total as u64, gpm_pool::global().workers(), 4),
+        gpm_pool::grain_for(total as u64, gpm_pool::global().participants(), 4),
     );
     {
         // sort each row by neighbor id (the builder's comparator); rows

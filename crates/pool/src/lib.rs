@@ -4,16 +4,16 @@
 //! team of OS threads via `std::thread::scope` on each invocation; the
 //! handshake matcher alone spawns two teams per round, so one multilevel
 //! run paid thousands of thread spawns. This crate replaces that with a
-//! lazily initialized, process-wide pool of parked workers (the design
+//! lazily initialized, process-wide pool of persistent workers (the design
 //! shared-memory partitioners like mt-metis and Mt-KaHyPar rely on):
 //!
 //! * [`parallel_chunks`] — run `n` indexed chunk closures on the pool and
 //!   return their results *in index order*. Chunks are pre-distributed
-//!   round-robin over per-worker deques; idle workers steal from the back
-//!   of other deques, so a skewed chunk cannot serialize the phase. The
-//!   submitting thread participates (drains and steals like a worker), so
-//!   the call makes progress even when every pool worker is busy with
-//!   another batch.
+//!   round-robin over per-participant deques; idle workers steal from the
+//!   back of other deques, so a skewed chunk cannot serialize the phase.
+//!   The submitting thread participates (drains and steals like a
+//!   worker), so the call makes progress even when every pool worker is
+//!   busy with another batch.
 //! * [`parallel_for`] / [`parallel_reduce`] — range and reduction
 //!   conveniences over [`parallel_chunks`].
 //! * [`scoped_blocking`] — fork-join over tasks that may *block on each
@@ -24,6 +24,32 @@
 //! * [`chunks_by_prefix`] — split an index range on a prefix-sum array so
 //!   every chunk carries roughly equal summed work (used to edge-balance
 //!   vertex ranges over a CSR `xadj` array).
+//!
+//! # Size and wake protocol
+//!
+//! The global pool runs one participant per core: `available_parallelism
+//! − 1` workers plus the submitting thread. Most batches are small — a
+//! served job issues ~150 of them, a few µs of work per chunk — so the
+//! hand-off, not the work, sets their latency. Parking a worker on a
+//! futex after every batch and waking it for the next costs more than
+//! the chunks themselves, so when the pool fits the machine
+//! (`workers + 1 ≤ available_parallelism`) both sides spin briefly
+//! before they park:
+//!
+//! * An idle worker watches a batch-epoch counter for `WORKER_SPIN`
+//!   (200 µs). Measured on the serve path, the median gap between one
+//!   batch and the next on a job thread is 16–64 µs and 94% of gaps are
+//!   under 256 µs, so the next batch usually finds the worker awake.
+//! * A submitter that has run out of chunks to claim spins on its
+//!   batch's atomic countdown for `SUBMITTER_SPIN` (50 µs) — about the
+//!   length of a stolen small chunk — before it parks.
+//! * Either side notifies a condvar only when a thread is actually parked
+//!   on it, so a batch handed to awake threads makes no syscall.
+//!
+//! An oversubscribed pool (more participants than cores, e.g.
+//! `GPM_THREADS=8` on a 2-core host) parks at once: a spinning thread
+//! there would steal the core that runs the work it waits for. After the
+//! bound an idle process holds no spinning thread.
 //!
 //! # Determinism
 //!
@@ -39,14 +65,16 @@
 //! # Environment
 //!
 //! * `GPM_THREADS` — worker count of the global pool (default: available
-//!   parallelism). Read once, at first use.
+//!   parallelism − 1, so with the submitter one participant per core).
+//!   Read once, at first use.
 //! * `GPM_POOL_STEAL_FUZZ` — when set (and not `0`), steal victim order
 //!   is randomized per batch. Results must not change; tests rely on it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Executor telemetry (gpm-serve exposes these in its stats endpoint)
@@ -54,9 +82,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Monotonic counters over the life of the process: fork-join batches and
 /// chunks submitted to [`parallel_chunks`] (inline fast paths included),
-/// and blocking tasks dispatched through [`scoped_blocking`]. Purely
-/// observational — never read back by any phase, so they cannot affect
-/// results.
+/// blocking tasks dispatched through [`scoped_blocking`], and thread parks
+/// of the chunk pool. Purely observational — never read back by any
+/// phase, so they cannot affect results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Fork-join batches submitted (one per `parallel_chunks` call).
@@ -65,11 +93,16 @@ pub struct PoolStats {
     pub chunks: u64,
     /// Tasks dispatched onto dedicated blocking seats.
     pub blocking_tasks: u64,
+    /// Condvar waits of the chunk pool: an idle worker parking for work,
+    /// or a submitter parking for its batch's last chunk. Depends on
+    /// timing, so unlike the other counters it does not repeat run to run.
+    pub parks: u64,
 }
 
 static BATCHES: AtomicU64 = AtomicU64::new(0);
 static CHUNKS: AtomicU64 = AtomicU64::new(0);
 static BLOCKING_TASKS: AtomicU64 = AtomicU64::new(0);
+static PARKS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot the process-wide executor counters.
 pub fn stats() -> PoolStats {
@@ -77,6 +110,7 @@ pub fn stats() -> PoolStats {
         batches: BATCHES.load(Ordering::Relaxed),
         chunks: CHUNKS.load(Ordering::Relaxed),
         blocking_tasks: BLOCKING_TASKS.load(Ordering::Relaxed),
+        parks: PARKS.load(Ordering::Relaxed),
     }
 }
 
@@ -218,13 +252,41 @@ impl<T> Slot<T> {
 // Batch: one fork-join submitted to the pool
 // ---------------------------------------------------------------------------
 
+/// How long an idle worker watches the batch epoch before it parks: above
+/// the 16–64 µs median gap between consecutive batches of a served job and
+/// near the 256 µs that 94% of those gaps stay under (crate docs).
+const WORKER_SPIN: Duration = Duration::from_micros(200);
+
+/// How long a submitter that ran out of chunks to claim spins on its
+/// batch's countdown before it parks: about one small stolen chunk.
+const SUBMITTER_SPIN: Duration = Duration::from_micros(50);
+
+/// Spin until `done()` holds (true) or `bound` elapses (false). A zero
+/// bound checks `done()` once.
+fn spin_until(bound: Duration, done: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        if done() {
+            return true;
+        }
+        if start.elapsed() >= bound {
+            return false;
+        }
+        std::hint::spin_loop();
+    }
+}
+
 struct BatchCore {
     /// Pending chunk indices: one deque per worker plus one for the
     /// submitter (the last). Owners pop the front; thieves pop the back.
     deques: Vec<Mutex<VecDeque<usize>>>,
     /// Chunks not yet *completed*; the submitter returns at 0.
-    left: Mutex<usize>,
-    left_cv: Condvar,
+    left: AtomicUsize,
+    /// Set by the submitter before it parks on `done_cv`; the thread that
+    /// completes the last chunk notifies only when it is set.
+    parked: AtomicBool,
+    done: Mutex<()>,
+    done_cv: Condvar,
     task: RawTask,
 }
 
@@ -236,8 +298,10 @@ impl BatchCore {
         }
         BatchCore {
             deques: deques.into_iter().map(Mutex::new).collect(),
-            left: Mutex::new(n_chunks),
-            left_cv: Condvar::new(),
+            left: AtomicUsize::new(n_chunks),
+            parked: AtomicBool::new(false),
+            done: Mutex::new(()),
+            done_cv: Condvar::new(),
             task,
         }
     }
@@ -271,17 +335,29 @@ impl BatchCore {
     fn run(&self, i: usize) {
         // Safety: see `RawTask`. `left > 0` for the whole call.
         unsafe { (*self.task.0)(i) };
-        let mut left = self.left.lock().unwrap();
-        *left -= 1;
-        if *left == 0 {
-            self.left_cv.notify_all();
+        // SeqCst on `left` and `parked`, here and in `wait_done`: in their
+        // single total order either the submitter's `left` load follows
+        // this decrement (it sees 0 and never waits) or this `parked` load
+        // follows its store (we notify, under `done`, which it holds from
+        // its check until it waits). The decrement also releases the
+        // chunk's result slot to the submitter's acquiring load.
+        if self.left.fetch_sub(1, Ordering::SeqCst) == 1 && self.parked.load(Ordering::SeqCst) {
+            let _done = self.done.lock().unwrap();
+            self.done_cv.notify_one();
         }
     }
 
-    fn wait_done(&self) {
-        let mut left = self.left.lock().unwrap();
-        while *left > 0 {
-            left = self.left_cv.wait(left).unwrap();
+    /// Wait until every chunk completed: spin for `spin`, then park.
+    fn wait_done(&self, spin: Duration) {
+        let finished = || self.left.load(Ordering::SeqCst) == 0;
+        if spin_until(spin, finished) {
+            return;
+        }
+        self.parked.store(true, Ordering::SeqCst);
+        let mut done = self.done.lock().unwrap();
+        while !finished() {
+            PARKS.fetch_add(1, Ordering::Relaxed);
+            done = self.done_cv.wait(done).unwrap();
         }
     }
 }
@@ -290,15 +366,81 @@ impl BatchCore {
 // The persistent pool
 // ---------------------------------------------------------------------------
 
-struct Shared {
+struct Inbox {
     /// Active batches. Workers scan for one with pending chunks.
-    inbox: Mutex<Vec<Arc<BatchCore>>>,
-    inbox_cv: Condvar,
+    batches: Vec<Arc<BatchCore>>,
+    /// Workers parked on `inbox_cv`; a submitter notifies only when > 0.
+    parked: usize,
 }
 
-/// A persistent pool of parked worker threads. Most callers use the
-/// process-wide instance via the free functions; a dedicated instance
-/// ([`Pool::new`]) exists for tests that need a specific size.
+impl Inbox {
+    fn find_work(&self) -> Option<Arc<BatchCore>> {
+        self.batches.iter().find(|b| b.has_work()).cloned()
+    }
+}
+
+struct Shared {
+    inbox: Mutex<Inbox>,
+    inbox_cv: Condvar,
+    /// Bumped under the inbox lock whenever a batch is pushed; spinning
+    /// idle workers watch it instead of taking the lock.
+    epoch: AtomicU64,
+    /// Whether idle threads spin before parking (see crate docs).
+    spin: bool,
+    /// Spin-waits entered by this pool's threads (tests check that an
+    /// oversubscribed pool never spins).
+    spins: AtomicU64,
+}
+
+impl Shared {
+    /// The bound a spin-wait gets here: `bound`, or zero in a pool that
+    /// must not spin.
+    fn spin_bound(&self, bound: Duration) -> Duration {
+        if !self.spin {
+            return Duration::ZERO;
+        }
+        self.spins.fetch_add(1, Ordering::Relaxed);
+        bound
+    }
+
+    /// Block until some batch has pending chunks: watch the epoch for
+    /// `WORKER_SPIN` (rescanning whenever it moves), then park.
+    fn next_batch(&self) -> Arc<BatchCore> {
+        let mut inbox = self.inbox.lock().unwrap();
+        loop {
+            if let Some(b) = inbox.find_work() {
+                return b;
+            }
+            // read under the lock that every push holds, so a batch
+            // pushed after this scan always moves the epoch
+            let seen = self.epoch.load(Ordering::Relaxed);
+            drop(inbox);
+            let bound = self.spin_bound(WORKER_SPIN);
+            let moved = spin_until(bound, || self.epoch.load(Ordering::Relaxed) != seen);
+            inbox = self.inbox.lock().unwrap();
+            if !moved {
+                break;
+            }
+        }
+        // Registered as parked under the lock that every push holds: a
+        // push either precedes this scan or sees `parked > 0` and
+        // notifies after we wait.
+        inbox.parked += 1;
+        let batch = loop {
+            if let Some(b) = inbox.find_work() {
+                break b;
+            }
+            PARKS.fetch_add(1, Ordering::Relaxed);
+            inbox = self.inbox_cv.wait(inbox).unwrap();
+        };
+        inbox.parked -= 1;
+        batch
+    }
+}
+
+/// A persistent pool of worker threads. Most callers use the process-wide
+/// instance via the free functions; a dedicated instance ([`Pool::new`])
+/// exists for tests that need a specific size.
 pub struct Pool {
     shared: Arc<Shared>,
     workers: usize,
@@ -316,15 +458,7 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
     IN_POOL_WORKER.with(|c| c.set(true));
     let mut rng = FuzzRng::new(me as u64);
     loop {
-        let batch = {
-            let mut inbox = shared.inbox.lock().unwrap();
-            loop {
-                if let Some(b) = inbox.iter().find(|b| b.has_work()) {
-                    break b.clone();
-                }
-                inbox = shared.inbox_cv.wait(inbox).unwrap();
-            }
-        };
+        let batch = shared.next_batch();
         let fuzz = steal_fuzz();
         while let Some(i) = batch.claim(me, fuzz, &mut rng) {
             batch.run(i);
@@ -332,11 +466,27 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
     }
 }
 
+/// Cores this process may run on (1 when unknown).
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 impl Pool {
-    /// Spawn a pool with `workers` parked worker threads. `workers == 0`
-    /// degenerates to inline (serial) execution.
+    /// Spawn a pool with `workers` worker threads. `workers == 0`
+    /// degenerates to inline (serial) execution. Idle threads spin before
+    /// parking only when the workers plus a submitter fit on the cores.
     pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(Shared { inbox: Mutex::new(Vec::new()), inbox_cv: Condvar::new() });
+        Self::with_spin(workers, workers < cores())
+    }
+
+    fn with_spin(workers: usize, spin: bool) -> Self {
+        let shared = Arc::new(Shared {
+            inbox: Mutex::new(Inbox { batches: Vec::new(), parked: 0 }),
+            inbox_cv: Condvar::new(),
+            epoch: AtomicU64::new(0),
+            spin,
+            spins: AtomicU64::new(0),
+        });
         for w in 0..workers {
             let s = shared.clone();
             std::thread::Builder::new()
@@ -350,6 +500,12 @@ impl Pool {
     /// Number of worker threads (excluding participating submitters).
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Threads that run one batch: the workers plus the submitter. Size
+    /// chunk counts from this; it is never 0.
+    pub fn participants(&self) -> usize {
+        self.workers + 1
     }
 
     /// Run `f(0), …, f(n-1)` on the pool and return the results in index
@@ -385,11 +541,18 @@ impl Pool {
                 }
             }
         };
-        let n_deques = self.workers + 1; // + the submitter
-                                         // Safety: `wait_done` below blocks until every chunk completed.
+        let n_deques = self.participants();
+        // Safety: `wait_done` below blocks until every chunk completed.
         let core = Arc::new(BatchCore::new(n, n_deques, unsafe { RawTask::erase(&task) }));
-        self.shared.inbox.lock().unwrap().push(core.clone());
-        self.shared.inbox_cv.notify_all();
+        let wake = {
+            let mut inbox = self.shared.inbox.lock().unwrap();
+            inbox.batches.push(core.clone());
+            self.shared.epoch.fetch_add(1, Ordering::Relaxed);
+            inbox.parked > 0
+        };
+        if wake {
+            self.shared.inbox_cv.notify_all();
+        }
 
         // The submitter participates like a worker (guarantees progress
         // even when every worker is busy with another batch).
@@ -399,8 +562,8 @@ impl Pool {
         while let Some(i) = core.claim(me, fuzz, &mut rng) {
             core.run(i);
         }
-        core.wait_done();
-        self.shared.inbox.lock().unwrap().retain(|b| !Arc::ptr_eq(b, &core));
+        core.wait_done(self.shared.spin_bound(SUBMITTER_SPIN));
+        self.shared.inbox.lock().unwrap().batches.retain(|b| !Arc::ptr_eq(b, &core));
 
         if let Some(p) = panic.into_inner().unwrap() {
             resume_unwind(p);
@@ -412,14 +575,15 @@ impl Pool {
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide pool, created on first use with `GPM_THREADS` workers
-/// (default: available parallelism).
+/// (default: available parallelism − 1; the submitter is the last
+/// participant).
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| {
         let workers = std::env::var("GPM_THREADS")
             .ok()
             .and_then(|s| s.parse::<usize>().ok())
             .filter(|&t| t > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4))
+            .unwrap_or_else(|| cores() - 1)
             .min(256);
         Pool::new(workers)
     })
@@ -675,6 +839,7 @@ mod tests {
     fn zero_worker_pool_runs_inline() {
         let pool = Pool::new(0);
         assert_eq!(pool.workers(), 0);
+        assert_eq!(pool.participants(), 1);
         assert_eq!(pool.parallel_chunks(5, |i| i + 1), vec![1, 2, 3, 4, 5]);
     }
 
@@ -791,6 +956,120 @@ mod tests {
         assert_eq!(grain_for(800, 8, 4), 25);
         assert_eq!(grain_for(0, 8, 4), 1);
         assert_eq!(grain_for(10, 0, 0), 10);
+    }
+
+    fn parked_workers(pool: &Pool) -> usize {
+        pool.shared.inbox.lock().unwrap().parked
+    }
+
+    fn spins(pool: &Pool) -> u64 {
+        pool.shared.spins.load(Ordering::Relaxed)
+    }
+
+    /// Run `body` on its own thread and fail unless it returns within
+    /// `limit`: a lost wakeup hangs a submitter rather than crashing it.
+    fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(limit) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("still running after {limit:?}: lost wakeup")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("body panicked"),
+        }
+    }
+
+    /// Poll until every worker of `pool` is parked; fail after `limit`.
+    fn await_all_parked(pool: &Pool, limit: Duration) {
+        let t0 = Instant::now();
+        while parked_workers(pool) < pool.workers() {
+            assert!(
+                t0.elapsed() < limit,
+                "{} of {} workers parked",
+                parked_workers(pool),
+                pool.workers()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Several submitters send many tiny batches with gaps on both sides
+    /// of the spin bounds: none, inside `SUBMITTER_SPIN`, inside
+    /// `WORKER_SPIN`, and past it (the workers park in between). A lost
+    /// wakeup of either kind hangs a submitter and fails the timeout.
+    fn wake_stress(pool: &'static Pool) {
+        const GAPS_US: [u64; 4] = [0, 20, 120, 400];
+        within(Duration::from_secs(60), move || {
+            std::thread::scope(|s| {
+                for t in 0..4usize {
+                    s.spawn(move || {
+                        for b in 0..300usize {
+                            let gap = Duration::from_micros(GAPS_US[(b + t) % GAPS_US.len()]);
+                            if gap > WORKER_SPIN {
+                                std::thread::sleep(gap);
+                            } else {
+                                spin_until(gap, || false);
+                            }
+                            let n = 2 + b % 5;
+                            let salt = t * 1_000_000 + b * 16;
+                            let out = pool.parallel_chunks(n, |i| {
+                                // 0–20 µs of work, so a worker often holds
+                                // the last chunk when the submitter is done
+                                spin_until(Duration::from_micros(10 * (i % 3) as u64), || false);
+                                salt + i
+                            });
+                            assert_eq!(out, (0..n).map(|i| salt + i).collect::<Vec<_>>());
+                        }
+                    });
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn wake_protocol_survives_concurrent_tiny_batches() {
+        // the global pool spins or parks depending on GPM_THREADS; the
+        // dedicated pools force each protocol whatever the host
+        wake_stress(global());
+        wake_stress(Box::leak(Box::new(Pool::with_spin(2, true))));
+        wake_stress(Box::leak(Box::new(Pool::with_spin(2, false))));
+    }
+
+    #[test]
+    fn idle_pool_parks_after_the_spin_bound() {
+        let pool: &'static Pool = Box::leak(Box::new(Pool::with_spin(2, true)));
+        let parks = stats().parks;
+        assert_eq!(pool.parallel_chunks(8, |i| i * 2), (0..8).map(|i| i * 2).collect::<Vec<_>>());
+        assert!(spins(pool) > 0, "a pool that fits the cores spins before parking");
+        await_all_parked(pool, Duration::from_secs(10));
+        assert!(stats().parks >= parks + 2, "each worker's park is counted");
+        // the next batch must wake them: each participant's own chunk
+        // waits at a barrier for the others', so it completes only if
+        // every parked worker woke and ran its chunk
+        within(Duration::from_secs(30), move || {
+            let barrier = std::sync::Barrier::new(pool.participants());
+            pool.parallel_chunks(pool.participants(), |_| {
+                barrier.wait();
+            });
+        });
+    }
+
+    #[test]
+    fn oversubscribed_pool_never_spins() {
+        let pool = Pool::new(cores() + 1);
+        for b in 0..200usize {
+            if b % 10 == 0 {
+                std::thread::sleep(Duration::from_micros(300));
+            }
+            let out = pool.parallel_chunks(2 + b % 7, |i| i + b);
+            assert_eq!(out, (0..2 + b % 7).map(|i| i + b).collect::<Vec<_>>());
+        }
+        assert_eq!(spins(&pool), 0);
+        await_all_parked(&pool, Duration::from_secs(10));
     }
 
     #[test]

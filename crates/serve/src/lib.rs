@@ -1014,6 +1014,7 @@ fn snapshot_stats(sh: &Arc<Shared>) -> Vec<(String, u64)> {
         ("overlap_jobs".into(), c.overlap_jobs.load(Ordering::SeqCst)),
         ("overlap_makespan_us".into(), c.overlap_makespan_us.load(Ordering::SeqCst)),
         ("overlap_serialized_us".into(), c.overlap_serialized_us.load(Ordering::SeqCst)),
+        ("pool_parks".into(), pool.parks),
     ]
 }
 
