@@ -11,7 +11,7 @@
 use gp_metis::multi_gpu::{partition_multi, MultiGpuConfig};
 use gp_metis::{partition, GpMetisConfig};
 use gpm_faults::{FaultKind, FaultPlan, Selector};
-use gpm_gpu_sim::LinkConfig;
+use gpm_gpu_sim::{LinkConfig, OverlapReport};
 use gpm_graph::csr::CsrGraph;
 use gpm_graph::gen::{delaunay_like, grid2d, hugebubbles_like, usa_roads_like};
 use gpm_metis::PartitionResult;
@@ -54,12 +54,14 @@ fn pin_cfg() -> GpMetisConfig {
 }
 
 /// (name, partition hash, ledger hash, modeled-seconds bits) captured on
-/// the tree *before* the overlap timeline existed.
-const SEED_PINS: [(&str, u64, u64, u64); 4] = [
-    ("grid", 0xa17051d71c53dfd6, 0xcc6f7295f1c6bfa1, 0x3f6c6053ccf61bea),
-    ("delaunay", 0x8079c090b8795941, 0xff996f50e9bd349f, 0x3f63985a68a5c8a1),
-    ("hugebubbles", 0x34bab8cb19bb02a6, 0x911ddab2f810c4ed, 0x3f703d4f3709c893),
-    ("usa-roads", 0xfd6e2f57ae258a90, 0xe092f7dd58e681c1, 0x3f73b60701d92c3c),
+/// the tree *before* the overlap timeline existed, plus the makespan bits
+/// of the schedule (a clean single-GPU run is one serial chain, so each
+/// equals its row's modeled-seconds bits).
+const SEED_PINS: [(&str, u64, u64, u64, u64); 4] = [
+    ("grid", 0xa17051d71c53dfd6, 0xcc6f7295f1c6bfa1, 0x3f6c6053ccf61bea, 0x3f6c6053ccf61bea),
+    ("delaunay", 0x8079c090b8795941, 0xff996f50e9bd349f, 0x3f63985a68a5c8a1, 0x3f63985a68a5c8a1),
+    ("hugebubbles", 0x34bab8cb19bb02a6, 0x911ddab2f810c4ed, 0x3f703d4f3709c893, 0x3f703d4f3709c893),
+    ("usa-roads", 0xfd6e2f57ae258a90, 0xe092f7dd58e681c1, 0x3f73b60701d92c3c, 0x3f73b60701d92c3c),
 ];
 
 #[test]
@@ -70,7 +72,8 @@ fn seed_pins_hold() {
         assert_eq!(part_hash(&r.result), pin.1, "{name} partition");
         assert_eq!(ledger_hash(&r.result), pin.2, "{name} ledger");
         assert_eq!(r.result.modeled_seconds().to_bits(), pin.3, "{name} modeled seconds");
-        assert!(r.overlap.is_some(), "{name} report presence");
+        let ov = r.overlap.expect("clean run reports a schedule");
+        assert_eq!(ov.makespan.to_bits(), pin.4, "{name} makespan");
     }
 }
 
@@ -94,11 +97,28 @@ fn multi_gpu_pins_hold() {
     }
 }
 
+/// Every engine's occupancy tiles the makespan: an engine is busy, stalled
+/// on a dependency, or idle after its last op — never more than the
+/// schedule's length.
+fn assert_engines_tile_makespan(ov: &OverlapReport, what: &str) {
+    for e in &ov.engines {
+        let name = e.engine.name();
+        assert!(e.busy <= ov.makespan, "{what} {name}: busy {} > makespan {}", e.busy, ov.makespan);
+        let total = e.busy + e.stall_transfer + e.stall_other + e.idle;
+        assert!(
+            (total - ov.makespan).abs() <= ov.makespan * REL_EPS,
+            "{what} {name}: busy+stalls+idle {total} != makespan {}",
+            ov.makespan
+        );
+    }
+}
+
 #[test]
 fn makespan_never_exceeds_serialized() {
     for (name, g) in pin_codes() {
         let r = partition(&g, &pin_cfg()).unwrap();
         let ov = r.overlap.unwrap();
+        assert_engines_tile_makespan(&ov, name);
         assert!(
             ov.makespan <= ov.serialized * (1.0 + REL_EPS),
             "{name}: makespan {} > serialized {}",
@@ -113,6 +133,7 @@ fn makespan_never_exceeds_serialized() {
             let cfg = MultiGpuConfig::new(pin_cfg(), d).with_link(link);
             let r = partition_multi(&g, &cfg).unwrap();
             let ov = r.overlap.unwrap();
+            assert_engines_tile_makespan(&ov, &format!("d={d}"));
             assert!(
                 ov.makespan <= ov.serialized * (1.0 + REL_EPS),
                 "d={d}: makespan {} > serialized {}",
@@ -158,6 +179,8 @@ fn checkpoint_download_streams_behind_next_level() {
         ov.makespan,
         ov.serialized
     );
+    assert_eq!(ov.makespan.to_bits(), 0x3f73de5d51008fc1, "checkpointed makespan");
+    assert_eq!(ov.serialized.to_bits(), 0x3f74f7eb198378c3, "checkpointed serialized");
     assert_eq!(ck.result.part, r.result.part, "checkpointing must not change the answer");
 }
 
