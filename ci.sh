@@ -206,18 +206,32 @@ GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke"
 
 step "overlap-smoke (overlap timeline: schedule determinism, bench JSON)"
 # The rendered schedule must be bit-identical across GPM_THREADS and
-# steal fuzz.
-for t in 1 4 8; do
-    GPM_THREADS=$t run_gp --devices 2 --timeline > /dev/null 2> "$smoke/ov_tl_t$t.txt"
-done
-GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 run_gp --devices 2 --timeline \
-    > /dev/null 2> "$smoke/ov_tl_fuzz.txt"
-diff -u "$smoke/ov_tl_t1.txt" "$smoke/ov_tl_t4.txt"
-diff -u "$smoke/ov_tl_t1.txt" "$smoke/ov_tl_t8.txt"
-diff -u "$smoke/ov_tl_t1.txt" "$smoke/ov_tl_fuzz.txt"
-grep -q "^engine" "$smoke/ov_tl_t1.txt"
-grep -q "overlapped" "$smoke/ov_tl_t1.txt"
-echo "--timeline schedule is bit-identical under GPM_THREADS in {1,4,8} and steal fuzz"
+# steal fuzz, on the sharded path and on the single-GPU path, clean and
+# with armed checkpoints (a transient fault arms them and is retried
+# away; each level's checkpoint download then streams behind the next
+# level's kernels, so that schedule must overlap).
+timeline_case() { # timeline_case <name> [run_gp args...]; the caller's env applies
+    local name=$1; shift
+    for t in 1 4 8; do
+        GPM_THREADS=$t run_gp "$@" --timeline > /dev/null 2> "$smoke/ov_${name}_t$t.txt"
+    done
+    GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 run_gp "$@" --timeline \
+        > /dev/null 2> "$smoke/ov_${name}_fuzz.txt"
+    for v in t4 t8 fuzz; do
+        diff -u "$smoke/ov_${name}_t1.txt" "$smoke/ov_${name}_$v.txt"
+    done
+    grep -q "^engine" "$smoke/ov_${name}_t1.txt"
+    grep -q "overlapped" "$smoke/ov_${name}_t1.txt"
+}
+timeline_case mg2 --devices 2
+timeline_case single
+GPM_FAULTS="3:gpu.h2d@1=transfer" timeline_case ckpt --fallback
+if grep -q "speedup 1.000x" "$smoke/ov_ckpt_t1.txt"; then
+    echo "ERROR: checkpointed single-GPU schedule did not overlap" >&2
+    exit 1
+fi
+echo "--timeline schedule is bit-identical under GPM_THREADS in {1,4,8} and steal fuzz" \
+    "(--devices 2, single GPU, checkpointed single GPU)"
 GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke" \
     cargo bench --offline -p gpm-bench --bench overlap
 ./target/release/validate_bench "$smoke/BENCH_overlap.json"

@@ -28,7 +28,7 @@ pub mod kernels;
 pub mod multi_gpu;
 
 use gpm_faults::{FaultInjector, FaultPlan, PlanParseError};
-use gpm_gpu_sim::{Device, DeviceError, GpuConfig, KernelStats};
+use gpm_gpu_sim::{Device, DeviceError, EngineId, EventId, GpuConfig, KernelStats, Timeline};
 use gpm_graph::csr::CsrGraph;
 use gpm_metis::coarsen::{CoarsenConfig, Hierarchy, Level};
 use gpm_metis::cost::{CostLedger, CpuModel};
@@ -262,24 +262,31 @@ struct CoarsenOutcome {
     coarsest: GpuCsr,
     conflicts: u64,
     peak_mem: u64,
+    /// The loop's last compute op on the overlap timeline.
+    last: EventId,
 }
 
 /// Run GPU coarsening levels on `dev` until the graph drops below the
-/// threshold or matching stalls.
+/// threshold or matching stalls. Each level's kernels are recorded on the
+/// timeline after `last` as they finish, its checkpoint download (when
+/// armed) beside them on the D2H copy engine.
 fn gpu_coarsen_loop(
     dev: &Device,
+    g: &CsrGraph,
     g0: GpuCsr,
-    mut uniform: bool,
-    max_vwgt: u32,
     cfg: &GpMetisConfig,
     mut ckpt: Option<&mut Checkpoint>,
-    marks: &mut Vec<(f64, f64)>,
+    tl: &mut Timeline,
+    mut last: EventId,
 ) -> Result<CoarsenOutcome, DeviceError> {
     let ccfg = CoarsenConfig::for_k(cfg.k);
+    let max_vwgt = ccfg.max_vwgt(g.total_vwgt());
+    let mut uniform = g.uniform_edge_weights();
     let mut levels: Vec<GpuLevel> = Vec::new();
     let mut cur = g0;
     let mut conflicts = 0u64;
     let mut peak_mem = 0u64;
+    let mut prev = dev.elapsed();
     // One device scratch for the whole coarsening loop: the first level
     // sizes the contraction temporaries and scan buffers high-water,
     // later levels recycle them without touching the device allocator.
@@ -314,29 +321,46 @@ fn gpu_coarsen_loop(
             let fine = std::mem::replace(&mut ck.coarse, coarse_host);
             ck.host_levels.push(Level { graph: fine, cmap: cmap_host });
         }
-        // Absolute device clocks at the level's kernels-done and
-        // checkpoint-done boundaries, for the overlap timeline: the gap
-        // between the two is the level's checkpoint D2H, which streams on
-        // the copy engine behind the next level's compute.
-        marks.push((kernels_done, dev.elapsed()));
+        let c = tl.record(
+            EngineId::Compute(0),
+            &format!("gpu:coarsen:l{lvl}"),
+            kernels_done - prev,
+            &[last],
+        );
+        prev = dev.elapsed();
+        if prev > kernels_done {
+            // the checkpoint download streams on the copy engine: the next
+            // level's kernels don't wait for it
+            tl.record(EngineId::D2H(0), &format!("ckpt:d2h:l{lvl}"), prev - kernels_done, &[c]);
+        }
+        last = c;
         uniform = false; // contraction sums weights; HEM has signal now
         levels.push(GpuLevel { graph: std::mem::replace(&mut cur, coarse), cmap });
     }
-    Ok(CoarsenOutcome { levels, coarsest: cur, conflicts, peak_mem })
+    let end = dev.elapsed();
+    if end > prev || levels.is_empty() {
+        // the stalled matching+cmap that ended the loop (and the whole
+        // phase when no level completed)
+        last = tl.record(EngineId::Compute(0), "gpu:coarsen:tail", end - prev, &[last]);
+    }
+    Ok(CoarsenOutcome { levels, coarsest: cur, conflicts, peak_mem, last })
 }
 
-/// Project + refine back up through the device levels. Returns the fine
-/// device partition and the number of committed moves.
+/// Project + refine back up through the device levels, recording one
+/// compute op per level after `last`. Returns the fine device partition,
+/// the number of committed moves and the last recorded op.
 fn gpu_uncoarsen_loop(
     dev: &Device,
     levels: &[GpuLevel],
     mut dpart: gpm_gpu_sim::DBuf<u32>,
     maxw: u32,
     cfg: &GpMetisConfig,
-    marks: &mut Vec<f64>,
-) -> Result<(gpm_gpu_sim::DBuf<u32>, u64), DeviceError> {
+    tl: &mut Timeline,
+    mut last: EventId,
+) -> Result<(gpm_gpu_sim::DBuf<u32>, u64, EventId), DeviceError> {
     let mut refine_moves = 0u64;
-    for lvl in (0..levels.len()).rev() {
+    let mut prev = dev.elapsed();
+    for (step, lvl) in (0..levels.len()).rev().enumerate() {
         let fine = &levels[lvl].graph;
         dpart = gpu_project(dev, &levels[lvl].cmap, &dpart, cfg.distribution, cfg.max_threads)?;
         let pw = gpu_part_weights(dev, fine, &dpart, cfg.k, cfg.distribution, cfg.max_threads)?;
@@ -352,9 +376,15 @@ fn gpu_uncoarsen_loop(
             cfg.max_threads,
         )?;
         refine_moves += stats.moves;
-        marks.push(dev.elapsed());
+        let now = dev.elapsed();
+        last =
+            tl.record(EngineId::Compute(0), &format!("gpu:uncoarsen:s{step}"), now - prev, &[last]);
+        prev = now;
     }
-    Ok((dpart, refine_moves))
+    if levels.is_empty() {
+        last = tl.record(EngineId::Compute(0), "gpu:uncoarsen", dev.elapsed() - prev, &[last]);
+    }
+    Ok((dpart, refine_moves, last))
 }
 
 /// The mt-metis configuration the CPU middle phase (and the fallback
@@ -392,157 +422,150 @@ fn cpu_coarsen_init(
     (hierarchy, cpart)
 }
 
-/// Assemble a [`GpMetisResult`] from a finished partition plus the run's
-/// bookkeeping. Shared by the clean path and both degradation paths.
-#[allow(clippy::too_many_arguments)]
-fn assemble_result(
-    g: &CsrGraph,
-    cfg: &GpMetisConfig,
-    part: Vec<u32>,
-    ledger: CostLedger,
-    t0: std::time::Instant,
-    dev: &Device,
+/// Level and work counters of a run, reported in [`GpuReport`].
+#[derive(Default)]
+struct RunCounts {
     gpu_levels: usize,
     cpu_levels: usize,
     conflicts: u64,
     refine_moves: u64,
     peak_mem: u64,
-    report: RunReport,
-    overlap: Option<gpm_gpu_sim::OverlapReport>,
-) -> GpMetisResult {
-    let edge_cut = gpm_graph::metrics::edge_cut(g, &part);
-    let imbalance = gpm_graph::metrics::imbalance(g, &part, cfg.k);
-    GpMetisResult {
-        result: PartitionResult {
-            part,
-            k: cfg.k,
-            edge_cut,
-            imbalance,
-            ledger,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            levels: gpu_levels + cpu_levels + 1,
-        },
-        gpu: GpuReport {
-            gpu_levels,
-            cpu_levels,
-            match_conflicts: conflicts,
-            refine_moves,
-            transfer_seconds: dev.transfer_seconds_total(),
-            transfer_bytes: dev.transfer_bytes_total(),
-            gpu_seconds: dev.elapsed() - dev.transfer_seconds_total(),
-            peak_device_bytes: peak_mem,
-            kernel_log: dev.kernel_log(),
-        },
-        report,
-        overlap,
+}
+
+/// One single-GPU run: the device, the serialized ledger with the device
+/// clock at its last charge, and the overlap timeline (DESIGN.md §16).
+/// Each timeline op is recorded where its ledger phase is charged, so op
+/// durations tile the serialized phases and the critical path can never
+/// exceed the serialized total.
+struct Run<'a> {
+    g: &'a CsrGraph,
+    cfg: &'a GpMetisConfig,
+    t0: std::time::Instant,
+    dev: Device,
+    injector: Option<Arc<FaultInjector>>,
+    mt: MtMetisConfig,
+    model: CpuModel,
+    ledger: CostLedger,
+    mark: f64,
+    tl: Timeline,
+}
+
+impl Run<'_> {
+    /// Charge the device time since the last charge to ledger phase
+    /// `name`; returns the seconds charged.
+    fn charge(&mut self, name: &str) -> f64 {
+        let now = self.dev.elapsed();
+        let secs = now - self.mark;
+        self.ledger.seconds(name, secs);
+        self.mark = now;
+        secs
     }
-}
 
-/// The value of ledger phase `name` (0 when absent).
-fn ledger_phase(ledger: &CostLedger, name: &str) -> f64 {
-    ledger.phases.iter().find(|(n, _)| n == name).map_or(0.0, |(_, s)| *s)
-}
+    /// [`Run::charge`] a transfer phase and record it on `engine` after
+    /// `deps`, labelled like the phase.
+    fn charge_op(&mut self, engine: EngineId, name: &str, deps: &[EventId]) -> EventId {
+        let secs = self.charge(name);
+        self.tl.record(engine, name, secs, deps)
+    }
 
-/// Build the single-GPU overlap timeline from the run's phase boundaries
-/// (DESIGN.md §16). The pipeline is one dependency chain over the H2D,
-/// compute, D2H and CPU engines; the one overlap opportunity is the
-/// per-level checkpoint download, which streams on the D2H copy engine
-/// while the next coarsening level's kernels run. Op durations tile each
-/// serialized ledger phase (up to floating summation order), so the
-/// critical path can never exceed the serialized total.
-fn single_gpu_timeline(
-    ledger: &CostLedger,
-    cpu_phases: &[(String, f64)],
-    coarsen_t0: f64,
-    coarsen_t1: f64,
-    coarsen_marks: &[(f64, f64)],
-    unc_marks: &[f64],
-) -> gpm_gpu_sim::Timeline {
-    use gpm_gpu_sim::{EngineId, Timeline};
-    let mut tl = Timeline::new();
-    let up =
-        tl.record(EngineId::H2D(0), "xfer:h2d:graph", ledger_phase(ledger, "xfer:h2d:graph"), &[]);
-    let mut last = up;
-    let mut prev = coarsen_t0;
-    for (lvl, &(kernels_done, level_done)) in coarsen_marks.iter().enumerate() {
-        let c = tl.record(
-            EngineId::Compute(0),
-            &format!("gpu:coarsen:l{lvl}"),
-            kernels_done - prev,
-            &[last],
-        );
-        if level_done > kernels_done {
-            // the checkpoint download: next level's kernels don't wait
-            tl.record(
-                EngineId::D2H(0),
-                &format!("ckpt:d2h:l{lvl}"),
-                level_done - kernels_done,
-                &[c],
-            );
+    /// The fault bookkeeping of the run so far.
+    fn report(&self, checkpoint_gpu_levels: usize) -> RunReport {
+        RunReport {
+            faults_injected: self.injector.as_ref().map_or(0, |i| i.injected()),
+            device_retries: self.dev.fault_retries(),
+            checkpoint_gpu_levels,
+            ..RunReport::default()
         }
-        last = c;
-        prev = level_done;
     }
-    if coarsen_t1 > prev || coarsen_marks.is_empty() {
-        // the stalled matching+cmap that ended the loop (and the whole
-        // phase when no level completed)
-        last = tl.record(EngineId::Compute(0), "gpu:coarsen:tail", coarsen_t1 - prev, &[last]);
-    }
-    let down = tl.record(
-        EngineId::D2H(0),
-        "xfer:d2h:coarse",
-        ledger_phase(ledger, "xfer:d2h:coarse"),
-        &[last],
-    );
-    let mut cpu_last = down;
-    for (name, secs) in cpu_phases {
-        cpu_last = tl.record(EngineId::Cpu, &format!("cpu:{name}"), *secs, &[cpu_last]);
-    }
-    let mut last = tl.record(
-        EngineId::H2D(0),
-        "xfer:h2d:part",
-        ledger_phase(ledger, "xfer:h2d:part"),
-        &[cpu_last],
-    );
-    if unc_marks.len() > 1 {
-        let mut prev = unc_marks[0];
-        for (step, &m) in unc_marks[1..].iter().enumerate() {
-            last = tl.record(
-                EngineId::Compute(0),
-                &format!("gpu:uncoarsen:s{step}"),
-                m - prev,
-                &[last],
-            );
-            prev = m;
-        }
-    } else {
-        last = tl.record(
-            EngineId::Compute(0),
-            "gpu:uncoarsen",
-            ledger_phase(ledger, "gpu:uncoarsen"),
-            &[last],
-        );
-    }
-    tl.record(EngineId::D2H(0), "xfer:d2h:part", ledger_phase(ledger, "xfer:d2h:part"), &[last]);
-    tl
-}
 
-/// The degradation record for a device failure at `point`.
-fn degraded_report(
-    point: &str,
-    err: &DeviceError,
-    dev: &Device,
-    injector: Option<&Arc<FaultInjector>>,
-    checkpoint_gpu_levels: usize,
-) -> RunReport {
-    RunReport {
-        degraded: true,
-        degrade_point: Some(point.to_string()),
-        device_error: Some(err.to_string()),
-        faults_injected: injector.map_or(0, |i| i.injected()),
-        device_retries: dev.fault_retries(),
-        checkpoint_gpu_levels,
-        breaker: None,
+    /// The device failed at `point`: without a checkpoint that is the
+    /// run's error; with one, degrade to the CPU engine. `entry` is the
+    /// CPU middle phase's partition of the checkpointed coarse graph when
+    /// the device died after that phase; it is projected and refined up
+    /// through the salvaged GPU levels. Without it, the CPU engine first
+    /// finishes coarsening from the last checkpointed level, and one
+    /// combined uncoarsen+refine walks back up through both the CPU and
+    /// the salvaged GPU levels.
+    fn degrade(
+        mut self,
+        (point, err): (&str, DeviceError),
+        ckpt: Option<Checkpoint>,
+        entry: Option<Vec<u32>>,
+        mut counts: RunCounts,
+    ) -> Result<GpMetisResult, PartitionError> {
+        let Some(ck) = ckpt else { return Err(err.into()) };
+        self.ledger.seconds(&format!("{point}(aborted)"), self.dev.elapsed() - self.mark);
+        let report = RunReport {
+            degraded: true,
+            degrade_point: Some(point.to_string()),
+            device_error: Some(err.to_string()),
+            ..self.report(ck.host_levels.len())
+        };
+        let mut fb_ledger = CostLedger::new();
+        counts.gpu_levels = ck.host_levels.len();
+        let mut levels = ck.host_levels;
+        let cpart = match entry {
+            Some(part) => {
+                levels.push(Level { graph: ck.coarse, cmap: Vec::new() });
+                part
+            }
+            None => {
+                let (cpu_hier, cpart) =
+                    cpu_coarsen_init(&ck.coarse, self.cfg, &self.mt, &self.model, &mut fb_ledger);
+                counts.cpu_levels = cpu_hier.depth();
+                levels.extend(cpu_hier.levels);
+                cpart
+            }
+        };
+        let part = gpm_mtmetis::uncoarsen_with_refine(
+            &Hierarchy { levels },
+            cpart,
+            &self.mt,
+            &self.model,
+            &mut fb_ledger,
+        );
+        for (name, secs) in &fb_ledger.phases {
+            self.ledger.seconds(&format!("cpufb:{name}"), *secs);
+        }
+        counts.peak_mem = counts.peak_mem.max(self.dev.mem_used());
+        Ok(self.finish(part, counts, report, None))
+    }
+
+    /// Assemble the [`GpMetisResult`] of a finished partition.
+    fn finish(
+        self,
+        part: Vec<u32>,
+        c: RunCounts,
+        report: RunReport,
+        overlap: Option<gpm_gpu_sim::OverlapReport>,
+    ) -> GpMetisResult {
+        let (g, cfg, dev) = (self.g, self.cfg, &self.dev);
+        let edge_cut = gpm_graph::metrics::edge_cut(g, &part);
+        let imbalance = gpm_graph::metrics::imbalance(g, &part, cfg.k);
+        GpMetisResult {
+            result: PartitionResult {
+                part,
+                k: cfg.k,
+                edge_cut,
+                imbalance,
+                ledger: self.ledger,
+                wall_seconds: self.t0.elapsed().as_secs_f64(),
+                levels: c.gpu_levels + c.cpu_levels + 1,
+            },
+            gpu: GpuReport {
+                gpu_levels: c.gpu_levels,
+                cpu_levels: c.cpu_levels,
+                match_conflicts: c.conflicts,
+                refine_moves: c.refine_moves,
+                transfer_seconds: dev.transfer_seconds_total(),
+                transfer_bytes: dev.transfer_bytes_total(),
+                gpu_seconds: dev.elapsed() - dev.transfer_seconds_total(),
+                peak_device_bytes: c.peak_mem,
+                kernel_log: dev.kernel_log(),
+            },
+            report,
+            overlap,
+        }
     }
 }
 
@@ -587,187 +610,86 @@ pub fn partition_with_plan(
         Some(i) => Device::with_faults(cfg.gpu.clone(), Arc::clone(i)),
         None => Device::new(cfg.gpu.clone()),
     };
-    let mut ledger = CostLedger::new();
-    let ccfg = CoarsenConfig::for_k(cfg.k);
-    let max_vwgt = ccfg.max_vwgt(g.total_vwgt());
-    let mt = mt_config(cfg);
-    let model = CpuModel::xeon_e5540(cfg.cpu_threads);
-
     // Checkpointing only arms when degradation is both requested and
     // possible — an inactive injector cannot fault, and the level
     // downloads would perturb the modeled times of clean runs.
     let ckpt_armed = cfg.fallback && injector.as_ref().is_some_and(|i| i.is_active());
     let mut ckpt = ckpt_armed.then(|| Checkpoint { host_levels: Vec::new(), coarse: g.clone() });
-
-    let mut mark = dev.elapsed();
-    let charge = |ledger: &mut CostLedger, dev: &Device, name: &str, mark: &mut f64| {
-        let now = dev.elapsed();
-        ledger.seconds(name, now - *mark);
-        *mark = now;
+    let mut run = Run {
+        g,
+        cfg,
+        t0,
+        mark: dev.elapsed(),
+        dev,
+        injector,
+        mt: mt_config(cfg),
+        model: CpuModel::xeon_e5540(cfg.cpu_threads),
+        ledger: CostLedger::new(),
+        tl: Timeline::new(),
     };
 
     // 1-3. GPU front half: upload, coarsening levels, coarse D2H.
-    let mut coarsen_marks: Vec<(f64, f64)> = Vec::new();
     let front = (|| {
-        let g0 = GpuCsr::upload(&dev, g).map_err(|e| ("xfer:h2d:graph", e))?;
-        charge(&mut ledger, &dev, "xfer:h2d:graph", &mut mark);
-        let coarsen_t0 = mark;
-        let outcome = gpu_coarsen_loop(
-            &dev,
-            g0,
-            g.uniform_edge_weights(),
-            max_vwgt,
-            cfg,
-            ckpt.as_mut(),
-            &mut coarsen_marks,
-        )
-        .map_err(|e| ("gpu:coarsen", e))?;
-        charge(&mut ledger, &dev, "gpu:coarsen", &mut mark);
-        let coarsen_t1 = mark;
-        let coarse_host = outcome.coarsest.download(&dev).map_err(|e| ("xfer:d2h:coarse", e))?;
-        charge(&mut ledger, &dev, "xfer:d2h:coarse", &mut mark);
-        Ok((outcome, coarse_host, coarsen_t0, coarsen_t1))
+        let g0 = GpuCsr::upload(&run.dev, g).map_err(|e| ("xfer:h2d:graph", e))?;
+        let up = run.charge_op(EngineId::H2D(0), "xfer:h2d:graph", &[]);
+        let outcome = gpu_coarsen_loop(&run.dev, g, g0, cfg, ckpt.as_mut(), &mut run.tl, up)
+            .map_err(|e| ("gpu:coarsen", e))?;
+        run.charge("gpu:coarsen");
+        let coarse_host =
+            outcome.coarsest.download(&run.dev).map_err(|e| ("xfer:d2h:coarse", e))?;
+        let down = run.charge_op(EngineId::D2H(0), "xfer:d2h:coarse", &[outcome.last]);
+        Ok((outcome, coarse_host, down))
     })();
-    let (outcome, coarse_host, coarsen_t0, coarsen_t1) = match front {
+    let (outcome, coarse_host, down) = match front {
         Ok(v) => v,
-        Err((point, e)) => {
-            let Some(ck) = ckpt.take() else { return Err(e.into()) };
-            ledger.seconds(&format!("{point}(aborted)"), dev.elapsed() - mark);
-            // Degrade: the CPU engine finishes coarsening from the last
-            // checkpointed level, then one combined uncoarsen+refine walks
-            // back up through both the CPU and the salvaged GPU levels.
-            let report = degraded_report(point, &e, &dev, injector.as_ref(), ck.host_levels.len());
-            let mut fb_ledger = CostLedger::new();
-            let (cpu_hier, cpart) = cpu_coarsen_init(&ck.coarse, cfg, &mt, &model, &mut fb_ledger);
-            let (gpu_levels, cpu_levels) = (ck.host_levels.len(), cpu_hier.depth());
-            let mut combined = ck.host_levels;
-            combined.extend(cpu_hier.levels);
-            let combined = Hierarchy { levels: combined };
-            let part =
-                gpm_mtmetis::uncoarsen_with_refine(&combined, cpart, &mt, &model, &mut fb_ledger);
-            for (name, secs) in &fb_ledger.phases {
-                ledger.seconds(&format!("cpufb:{name}"), *secs);
-            }
-            return Ok(assemble_result(
-                g,
-                cfg,
-                part,
-                ledger,
-                t0,
-                &dev,
-                gpu_levels,
-                cpu_levels,
-                0,
-                0,
-                dev.mem_used(),
-                report,
-                None,
-            ));
-        }
+        Err(failure) => return run.degrade(failure, ckpt, None, RunCounts::default()),
     };
-    let CoarsenOutcome { levels, coarsest: _, conflicts, peak_mem } = outcome;
-    let mut peak_mem = peak_mem;
+    let CoarsenOutcome { levels, coarsest: _, conflicts, peak_mem, last: _ } = outcome;
 
     // 4. CPU middle phase (mt-metis): finish coarsening, initial
     //    partitioning, refine back up to the threshold level.
     let mut cpu_ledger = CostLedger::new();
-    let (hierarchy, cpart) = cpu_coarsen_init(&coarse_host, cfg, &mt, &model, &mut cpu_ledger);
+    let (hierarchy, cpart) =
+        cpu_coarsen_init(&coarse_host, cfg, &run.mt, &run.model, &mut cpu_ledger);
     let part_at_entry =
-        gpm_mtmetis::uncoarsen_with_refine(&hierarchy, cpart, &mt, &model, &mut cpu_ledger);
+        gpm_mtmetis::uncoarsen_with_refine(&hierarchy, cpart, &run.mt, &run.model, &mut cpu_ledger);
+    let mut cpu_last = down;
     for (name, secs) in &cpu_ledger.phases {
-        ledger.seconds(&format!("cpu:{name}"), *secs);
+        let name = format!("cpu:{name}");
+        run.ledger.seconds(&name, *secs);
+        cpu_last = run.tl.record(EngineId::Cpu, &name, *secs, &[cpu_last]);
     }
-    let cpu_levels = hierarchy.depth();
+    let mut counts = RunCounts {
+        gpu_levels: levels.len(),
+        cpu_levels: hierarchy.depth(),
+        conflicts,
+        refine_moves: 0,
+        peak_mem,
+    };
 
     // 5-7. GPU back half: partition H2D, project + refine per level, D2H.
     let maxw = gpm_graph::metrics::max_part_weight(g.total_vwgt(), cfg.k, cfg.ubfactor);
     let maxw = u32::try_from(maxw).map_err(|_| PartitionError::WeightOverflow)?;
-    mark = dev.elapsed();
-    let mut unc_marks: Vec<f64> = Vec::new();
     let back = (|| {
-        let dpart = dev.h2d(&part_at_entry).map_err(|e| ("xfer:h2d:part", e))?;
-        charge(&mut ledger, &dev, "xfer:h2d:part", &mut mark);
-        unc_marks.push(mark); // uncoarsening start clock
-        let (dpart, refine_moves) =
-            gpu_uncoarsen_loop(&dev, &levels, dpart, maxw, cfg, &mut unc_marks)
+        let dpart = run.dev.h2d(&part_at_entry).map_err(|e| ("xfer:h2d:part", e))?;
+        let up = run.charge_op(EngineId::H2D(0), "xfer:h2d:part", &[cpu_last]);
+        let (dpart, refine_moves, last) =
+            gpu_uncoarsen_loop(&run.dev, &levels, dpart, maxw, cfg, &mut run.tl, up)
                 .map_err(|e| ("gpu:uncoarsen", e))?;
-        peak_mem = peak_mem.max(dev.mem_used());
-        charge(&mut ledger, &dev, "gpu:uncoarsen", &mut mark);
-        let part = dev.d2h(&dpart).map_err(|e| ("xfer:d2h:part", e))?;
-        charge(&mut ledger, &dev, "xfer:d2h:part", &mut mark);
+        counts.peak_mem = counts.peak_mem.max(run.dev.mem_used());
+        run.charge("gpu:uncoarsen");
+        let part = run.dev.d2h(&dpart).map_err(|e| ("xfer:d2h:part", e))?;
+        run.charge_op(EngineId::D2H(0), "xfer:d2h:part", &[last]);
         Ok((part, refine_moves))
     })();
     match back {
         Ok((part, refine_moves)) => {
-            let report = RunReport {
-                faults_injected: injector.as_ref().map_or(0, |i| i.injected()),
-                device_retries: dev.fault_retries(),
-                checkpoint_gpu_levels: ckpt.as_ref().map_or(0, |c| c.host_levels.len()),
-                ..RunReport::default()
-            };
-            let overlap = single_gpu_timeline(
-                &ledger,
-                &cpu_ledger.phases,
-                coarsen_t0,
-                coarsen_t1,
-                &coarsen_marks,
-                &unc_marks,
-            )
-            .report(ledger.total());
-            Ok(assemble_result(
-                g,
-                cfg,
-                part,
-                ledger,
-                t0,
-                &dev,
-                levels.len(),
-                cpu_levels,
-                conflicts,
-                refine_moves,
-                peak_mem,
-                report,
-                Some(overlap),
-            ))
+            counts.refine_moves = refine_moves;
+            let report = run.report(ckpt.as_ref().map_or(0, |c| c.host_levels.len()));
+            let overlap = run.tl.report(run.ledger.total());
+            Ok(run.finish(part, counts, report, Some(overlap)))
         }
-        Err((point, e)) => {
-            let Some(ck) = ckpt.take() else { return Err(e.into()) };
-            ledger.seconds(&format!("{point}(aborted)"), dev.elapsed() - mark);
-            // Degrade: the CPU middle phase already produced a partition
-            // of the checkpointed coarse graph; project + refine it up
-            // through the salvaged GPU levels on the CPU.
-            let report = degraded_report(point, &e, &dev, injector.as_ref(), ck.host_levels.len());
-            let gpu_levels = ck.host_levels.len();
-            let mut combined = ck.host_levels;
-            combined.push(Level { graph: ck.coarse, cmap: Vec::new() });
-            let combined = Hierarchy { levels: combined };
-            let mut fb_ledger = CostLedger::new();
-            let part = gpm_mtmetis::uncoarsen_with_refine(
-                &combined,
-                part_at_entry,
-                &mt,
-                &model,
-                &mut fb_ledger,
-            );
-            for (name, secs) in &fb_ledger.phases {
-                ledger.seconds(&format!("cpufb:{name}"), *secs);
-            }
-            Ok(assemble_result(
-                g,
-                cfg,
-                part,
-                ledger,
-                t0,
-                &dev,
-                gpu_levels,
-                cpu_levels,
-                conflicts,
-                0,
-                peak_mem.max(dev.mem_used()),
-                report,
-                None,
-            ))
-        }
+        Err(failure) => run.degrade(failure, ckpt, Some(part_at_entry), counts),
     }
 }
 

@@ -33,6 +33,14 @@
 //!   balance-safe. There is no trailing CPU seam-repair pass — the halo
 //!   exchange is the seam repair.
 //!
+//! The code follows that shape: [`partition_multi`] is a short sequence of
+//! phase functions over one run context — shard and upload, coarsening
+//! supersteps, the CPU bridge (download, merge, CPU partition, scatter),
+//! uncoarsening supersteps, gather — each charging the ledger and
+//! recording its overlap-timeline ops in one place. Every device phase
+//! runs through one helper that snapshots the device clocks, fans the
+//! work out and returns each device's modeled seconds (DESIGN.md §15).
+//!
 //! Determinism: shards, halo layouts and exchange routes are sorted
 //! host-side; merges and moved-list consumption are index-ordered or
 //! set-idempotent; device kernels carry the single-GPU path's
@@ -59,7 +67,7 @@ use gpm_graph::subgraph::{halo_shards, HaloShard};
 use gpm_metis::coarsen::CoarsenConfig;
 use gpm_metis::cost::{CostLedger, CpuModel, Work};
 use gpm_metis::PartitionResult;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard};
 
 /// Chunks per shard slice on the overlap timeline: device `i`'s copy
@@ -146,60 +154,57 @@ impl CommStep {
     }
 }
 
-/// Orchestrator-side state of one device's pipeline.
+/// Orchestrator-side state of one device's pipeline, live from the upload
+/// to the gather.
 struct DevState {
     shard: HaloShard,
     /// Level hierarchy; uncoarsening *pops* levels as it walks back up,
     /// so coarser levels' device buffers are released as soon as they
     /// have been projected through (the per-device peak stays ~1/D).
     levels: Vec<GpuLevel>,
-    /// Total coarsening levels (recorded before uncoarsening pops them).
-    total_levels: usize,
-    /// Current coarse graph during coarsening.
-    cur: Option<GpuCsr>,
-    /// Border slot → current coarse id, composed per level on-device.
+    /// Border slot → current coarse id, composed per level on-device
+    /// while coarsening (it stays resident for the rest of the run).
     bmap: Option<DBuf<u32>>,
     /// Host snapshot of `bmap` after each completed level (the payload of
     /// the per-level boundary-cmap halo exchange).
     bmap_levels: Vec<Vec<u32>>,
-    scratch: Option<GpuCoarsenScratch>,
-    uniform: bool,
-    stalled: bool,
     peak: u64,
-    coarse_host: Option<CsrGraph>,
     /// Partition vector at the device's current granularity (augmented
-    /// with ghost slots while a refinement level is in flight).
+    /// with ghost slots while a refinement level is in flight): scattered
+    /// by the bridge, projected by each superstep, taken by the gather.
     part: Option<DBuf<u32>>,
-    halo: Option<GpuCsr>,
-    refine: Option<HaloRefine>,
-    pw: Option<DBuf<u32>>,
-    caps: Option<DBuf<u32>>,
-    /// Local (non-ghost) vertex count at the current granularity.
-    n_local: usize,
 }
 
-fn lock_all<'a>(states: &'a [Mutex<DevState>]) -> Vec<MutexGuard<'a, DevState>> {
+/// One device's coarsening state: created by the upload, consumed by the
+/// coarse download.
+struct Coarsening {
+    /// Current coarse graph.
+    cur: GpuCsr,
+    scratch: GpuCoarsenScratch,
+    uniform: bool,
+    stalled: bool,
+}
+
+/// One active device's refinement state for one uncoarsening superstep:
+/// created by the projection, dropped by the superstep's epilogue.
+struct StepState {
+    /// The level graph with ghost rows appended.
+    halo: GpuCsr,
+    refine: HaloRefine,
+    /// Global partition weights as of the pass start.
+    pw: DBuf<u32>,
+    /// This device's per-partition headroom caps.
+    caps: DBuf<u32>,
+}
+
+fn lock_all(states: &[Mutex<DevState>]) -> Vec<MutexGuard<'_, DevState>> {
     states.iter().map(|m| m.lock().unwrap()).collect()
 }
 
-fn clocks(group: &DeviceGroup) -> Vec<f64> {
-    group.devices().iter().map(Device::elapsed).collect()
-}
-
-/// Per-device modeled seconds since `before` — each device's own share of
-/// a superstep (the overlap timeline charges these individually).
-fn deltas(group: &DeviceGroup, before: &[f64]) -> Vec<f64> {
-    group.devices().iter().zip(before).map(|(dv, &b)| dv.elapsed() - b).collect()
-}
-
-/// Modeled superstep seconds: devices ran concurrently, so the superstep
-/// costs as much as its slowest device.
-fn max_delta(group: &DeviceGroup, before: &[f64]) -> f64 {
-    deltas(group, before).into_iter().fold(0.0, f64::max)
-}
-
-fn join<T>(results: Vec<Result<T, DeviceError>>) -> Result<Vec<T>, DeviceError> {
-    results.into_iter().collect()
+/// Modeled phase seconds: devices ran concurrently, so the phase costs as
+/// much as its slowest device.
+fn slowest(deltas: &[f64]) -> f64 {
+    deltas.iter().copied().fold(0.0, f64::max)
 }
 
 /// The current coarse id of border slot `b` once `lvls` levels have been
@@ -210,6 +215,781 @@ fn border_id(st: &DevState, b: usize, lvls: usize) -> u32 {
         st.shard.border[b] as u32
     } else {
         st.bmap_levels[lvls - 1][b]
+    }
+}
+
+/// One sharded run: the configuration, the devices with their fabric and
+/// per-device state, the serialized ledger, and the overlap timeline
+/// (DESIGN.md §16). Each phase records its timeline ops where it charges
+/// the ledger, with explicit event dependencies; the schedule is
+/// evaluated once at the end. Pure accounting — the pipeline never
+/// consults the timeline, so it cannot perturb the partition or the
+/// ledger.
+struct Multi<'a> {
+    base: &'a GpMetisConfig,
+    model: CpuModel,
+    group: DeviceGroup,
+    states: Vec<Mutex<DevState>>,
+    ledger: CostLedger,
+    tl: Timeline,
+    /// Last device-side op per device (the dep target for cross-engine
+    /// edges: halo exchanges, downloads, allreduce legs).
+    last_comp: Vec<EventId>,
+}
+
+impl Multi<'_> {
+    /// Run `f` on every device as concurrent blocking pool tasks. Returns
+    /// the results in device order and each device's modeled seconds over
+    /// the phase (the overlap timeline charges these individually).
+    fn on_devices<T: Send>(
+        &self,
+        f: impl Fn(usize, &Device) -> Result<T, DeviceError> + Sync,
+    ) -> Result<(Vec<T>, Vec<f64>), DeviceError> {
+        let devs = self.group.devices();
+        let before: Vec<f64> = devs.iter().map(Device::elapsed).collect();
+        let out = gpm_pool::scoped_blocking(devs.len(), |i| f(i, &devs[i]));
+        let out = out.into_iter().collect::<Result<Vec<T>, _>>()?;
+        Ok((out, devs.iter().zip(&before).map(|(dv, &b)| dv.elapsed() - b).collect()))
+    }
+
+    /// Seconds of the ledger phase charged last.
+    fn last_charge(&self) -> f64 {
+        self.ledger.phases.last().map_or(0.0, |(_, s)| *s)
+    }
+
+    /// Shard the graph with halo bookkeeping, then upload every shard.
+    fn shard_and_upload(&mut self, g: &CsrGraph) -> Result<Vec<Mutex<Coarsening>>, DeviceError> {
+        let d = self.group.len();
+        let shards = halo_shards(g, d);
+        // Shard extraction runs as d concurrent pool tasks (see
+        // halo_shards); the scans are sequential copies over the block's
+        // CSR slice (vertex rate), the ghost lookups per cross edge are
+        // gathers (edge rate).
+        let works: Vec<Work> = shards
+            .iter()
+            .map(|sh| {
+                Work::new(sh.stubs.len() as u64, (sh.sub.adjncy.len() + 2 * sh.sub.n()) as u64)
+                    .with_ws(sh.sub.bytes())
+            })
+            .collect();
+        self.ledger.parallel("cpu:mg:shard", &self.model, &works, 1);
+        // The CPU lane cuts the shards one block after another, in chunks:
+        // device i's copy engine uploads chunk c while the lane cuts chunk
+        // c+1 (double-buffered transfers). Equal slices of the phase
+        // charge keep the lane's busy time exactly the ledger value; chunk
+        // granularity treats bandwidth as dominant (PCIe latency is µs
+        // against ms-scale shard uploads).
+        let chunk = self.last_charge() / (d * UPLOAD_CHUNKS) as f64;
+        let mut cut = || self.tl.record(EngineId::Cpu, "cpu:mg:shard", chunk, &[]);
+        let cut_ids: Vec<Vec<EventId>> =
+            (0..d).map(|_| (0..UPLOAD_CHUNKS).map(|_| cut()).collect()).collect();
+        self.states = shards
+            .into_iter()
+            .map(|shard| {
+                let (levels, bmap_levels) = (Vec::new(), Vec::new());
+                Mutex::new(DevState { shard, levels, bmap: None, bmap_levels, peak: 0, part: None })
+            })
+            .collect();
+        let (coarsening, secs) = self.on_devices(|i, dev| {
+            let mut st = self.states[i].lock().unwrap();
+            let cur = GpuCsr::upload(dev, &st.shard.sub)?;
+            if !st.shard.border.is_empty() {
+                st.bmap = Some(h2d_idx(dev, &st.shard.border)?);
+            }
+            let uniform = st.shard.sub.uniform_edge_weights();
+            let scratch = GpuCoarsenScratch::new();
+            Ok(Mutex::new(Coarsening { cur, scratch, uniform, stalled: false }))
+        })?;
+        self.ledger.seconds("xfer:h2d:graph(multi,max)", slowest(&secs));
+        for (i, (&dur, ids)) in secs.iter().zip(&cut_ids).enumerate() {
+            // One upload per shard chunk; copy-engine chaining serializes
+            // the chunks while each waits only for its slice of the cut.
+            let mut last = None;
+            for &cut in ids {
+                let up = EngineId::H2D(i as u32);
+                last =
+                    Some(self.tl.record(up, "xfer:h2d:graph", dur / UPLOAD_CHUNKS as f64, &[cut]));
+            }
+            self.last_comp.push(last.expect("UPLOAD_CHUNKS > 0"));
+        }
+        Ok(coarsening)
+    }
+
+    /// Coarsening supersteps: every device contracts its block one level
+    /// per superstep, then ships its changed border slots to each neighbor
+    /// that ghosts them. Returns the exchange ops, which feed the merge.
+    fn coarsen(
+        &mut self,
+        coarsening: &[Mutex<Coarsening>],
+        max_vwgt: u32,
+    ) -> Result<Vec<EventId>, DeviceError> {
+        let base = self.base;
+        let ccfg = CoarsenConfig::for_k(base.k);
+        // Distinct border slots receiver j references on owner i — the
+        // per-level payload of the boundary-cmap exchange.
+        let mut needed: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        for (j, st) in lock_all(&self.states).iter().enumerate() {
+            let sh = &st.shard;
+            let mut per_owner: BTreeMap<usize, BTreeSet<u32>> = BTreeMap::new();
+            for (gi, &own) in sh.ghost_owner.iter().enumerate() {
+                per_owner.entry(own as usize).or_default().insert(sh.ghost_owner_border[gi]);
+            }
+            for (i, slots) in per_owner {
+                needed.insert((i, j), slots.len() as u64);
+            }
+        }
+        let (mut gpu_secs, mut ic_secs) = (0.0, 0.0);
+        // Exchange payloads (bmap snapshots) are consumed host-side at
+        // merge time, not by the next superstep's kernels — so on the
+        // timeline the exchanges feed the merge, and each device's levels
+        // form one uninterrupted compute chain (comm/compute overlap
+        // replacing the serialized superstep fold).
+        let mut exchange_ids: Vec<EventId> = Vec::new();
+        loop {
+            let can: Vec<bool> = (lock_all(&self.states).iter().zip(coarsening))
+                .map(|(st, c)| {
+                    let c = c.lock().unwrap();
+                    !c.stalled && st.levels.len() < ccfg.max_levels && c.cur.n > base.gpu_threshold
+                })
+                .collect();
+            if !can.iter().any(|&c| c) {
+                break;
+            }
+            let (stepped, secs) = self.on_devices(|i, dev| {
+                if !can[i] {
+                    return Ok(false);
+                }
+                let (mut st, mut c) =
+                    (self.states[i].lock().unwrap(), coarsening[i].lock().unwrap());
+                let (st, c) = (&mut *st, &mut *c);
+                let lvl = st.levels.len();
+                let (mat, _mstats) = gpu_matching(
+                    dev,
+                    &c.cur,
+                    max_vwgt,
+                    base.match_rounds,
+                    c.uniform,
+                    base.seed.wrapping_add(lvl as u64),
+                    base.distribution,
+                    base.max_threads,
+                )?;
+                let (cmap, nc) =
+                    gpu_cmap_ws(dev, &mat, base.distribution, base.max_threads, &mut c.scratch)?;
+                if nc as f64 / c.cur.n as f64 > ccfg.reduction_cutoff {
+                    c.stalled = true; // stalled; this shard hands over early
+                    return Ok(false);
+                }
+                let coarse = gpu_contract_ws(
+                    dev,
+                    &c.cur,
+                    &mat,
+                    &cmap,
+                    nc,
+                    base.merge,
+                    base.max_threads,
+                    &mut c.scratch,
+                )?;
+                st.peak = st.peak.max(dev.mem_used());
+                if let Some(bmap) = st.bmap.as_ref() {
+                    gpu_compose_bmap(dev, &cmap, bmap, base.distribution, base.max_threads)?;
+                    let snap: Vec<u32> = (0..bmap.len()).map(|s| bmap.load(s)).collect();
+                    st.bmap_levels.push(snap);
+                } else {
+                    st.bmap_levels.push(Vec::new());
+                }
+                c.uniform = false;
+                let fine = std::mem::replace(&mut c.cur, coarse);
+                st.levels.push(GpuLevel { graph: fine, cmap });
+                Ok(true)
+            })?;
+            gpu_secs += slowest(&secs);
+            for (i, &dur) in secs.iter().enumerate() {
+                if dur > 0.0 {
+                    let deps = [self.last_comp[i]];
+                    self.last_comp[i] =
+                        self.tl.record(EngineId::Compute(i as u32), "gpu:coarsen", dur, &deps);
+                }
+            }
+            // Boundary-cmap halo exchange: every device that finished a
+            // level ships its changed border slots to each neighbor that
+            // ghosts them (coarse ids renumber every level, so all needed
+            // slots are changed slots).
+            let ic = self.group.interconnect();
+            let mut comm = CommStep::default();
+            for i in (0..stepped.len()).filter(|&i| stepped[i]) {
+                for (&(_, j), &slots) in needed.range((i, 0)..(i + 1, 0)) {
+                    let (src, dst) = (i as u32, j as u32);
+                    let secs = ic.record(src, dst, 4 * slots);
+                    comm.add(secs, src, dst);
+                    let deps = [self.last_comp[i]];
+                    let link = EngineId::Link(src, dst);
+                    exchange_ids.push(self.tl.record(link, "ic:coarsen:halo", secs, &deps));
+                }
+            }
+            ic_secs += comm.max();
+        }
+        self.ledger.seconds("gpu:coarsen(multi,max)", gpu_secs);
+        self.ledger.seconds("ic:coarsen:halo", ic_secs);
+        Ok(exchange_ids)
+    }
+
+    /// The CPU bridge between the device phases: download the coarsest
+    /// shards, merge them on the host, partition the merged graph with
+    /// mt-metis, and scatter each device's slice of that partition back.
+    /// Returns the CPU levels, the global partition weights and the
+    /// scatter ops.
+    fn bridge(
+        &mut self,
+        coarsening: Vec<Mutex<Coarsening>>,
+        exchange_ids: Vec<EventId>,
+    ) -> Result<(usize, Vec<u32>, Vec<EventId>), DeviceError> {
+        // the contraction scratch is done for good
+        let curs: Vec<GpuCsr> =
+            coarsening.into_iter().map(|c| c.into_inner().unwrap().cur).collect();
+        let (hosts, secs) = self.on_devices(|i, dev| {
+            let host = curs[i].download(dev)?;
+            let mut st = self.states[i].lock().unwrap();
+            st.peak = st.peak.max(dev.mem_used());
+            Ok(host)
+        })?;
+        drop(curs);
+        self.ledger.seconds("xfer:d2h:coarse(multi,max)", slowest(&secs));
+        let mut deps: Vec<EventId> = (secs.iter().enumerate())
+            .map(|(i, &dur)| {
+                let last = [self.last_comp[i]];
+                self.tl.record(EngineId::D2H(i as u32), "xfer:d2h:coarse", dur, &last)
+            })
+            .collect();
+        // the merge needs every coarse shard and every exchanged bmap
+        deps.extend(exchange_ids);
+        let (merged, offsets) = merge_shards(&lock_all(&self.states), &hosts);
+        let work = Work::new(merged.adjncy.len() as u64, merged.n() as u64).with_ws(merged.bytes());
+        self.ledger.serial("cpu:mg:merge", &self.model, work);
+        self.tl.record(EngineId::Cpu, "cpu:mg:merge", self.last_charge(), &deps);
+
+        let mid = gpm_mtmetis::partition(&merged, &crate::mt_config(self.base));
+        let mut mt_done: Vec<EventId> = Vec::new();
+        for (name, secs) in &mid.ledger.phases {
+            let name = format!("cpu:{name}");
+            self.ledger.seconds(&name, *secs);
+            mt_done = vec![self.tl.record(EngineId::Cpu, &name, *secs, &[])];
+        }
+        let mut global_pw = vec![0u32; self.base.k];
+        for (c, &p) in mid.part.iter().enumerate() {
+            global_pw[p as usize] += merged.vwgt[c];
+        }
+
+        let (_, secs) = self.on_devices(|i, dev| {
+            let slice: Vec<u32> =
+                (offsets[i]..offsets[i + 1]).map(|c| mid.part[c as usize]).collect();
+            self.states[i].lock().unwrap().part = Some(dev.h2d(&slice)?);
+            Ok(())
+        })?;
+        self.ledger.seconds("xfer:h2d:part(multi,max)", slowest(&secs));
+        let scatter_ids = (secs.iter().enumerate())
+            .map(|(i, &dur)| {
+                self.tl.record(EngineId::H2D(i as u32), "xfer:h2d:part", dur, &mt_done)
+            })
+            .collect();
+        Ok((mid.levels, global_pw, scatter_ids))
+    }
+
+    /// Download every device's fine partition slice into the global
+    /// partition vector. Returns it with each device's memory peak.
+    fn gather(&mut self, n: usize) -> Result<(Vec<u32>, Vec<u64>), DeviceError> {
+        let (fins, secs) = self.on_devices(|i, dev| {
+            let dpart = self.states[i].lock().unwrap().part.take().unwrap();
+            dev.d2h(&dpart)
+        })?;
+        self.ledger.seconds("xfer:d2h:part(multi,max)", slowest(&secs));
+        for (i, &dur) in secs.iter().enumerate() {
+            self.tl.record(EngineId::D2H(i as u32), "xfer:d2h:part", dur, &[self.last_comp[i]]);
+        }
+        let mut part = vec![0u32; n];
+        let sts = lock_all(&self.states);
+        for (st, fin) in sts.iter().zip(&fins) {
+            for (lu, &old) in st.shard.new_to_old.iter().enumerate() {
+                part[old as usize] = fin[lu];
+            }
+        }
+        let devs = self.group.devices();
+        Ok((part, sts.iter().zip(devs).map(|(s, dv)| s.peak.max(dv.mem_used())).collect()))
+    }
+}
+
+/// The coarsest shards stitched into one host graph, with every cross
+/// edge mapped through the exchanged border maps (cross edges are never
+/// dropped). Returns the graph and each shard's vertex offset in it.
+fn merge_shards(sts: &[MutexGuard<DevState>], hosts: &[CsrGraph]) -> (CsrGraph, Vec<Vid>) {
+    let d = sts.len();
+    let mut offsets = vec![0 as Vid; d + 1];
+    for i in 0..d {
+        offsets[i + 1] = offsets[i] + hosts[i].n() as Vid;
+    }
+    let nc_total = offsets[d] as usize;
+    let mut b = GraphBuilder::new(nc_total);
+    let mut vwgt = vec![0u32; nc_total];
+    for (ch, &off) in hosts.iter().zip(&offsets) {
+        for c in 0..ch.n() as Vid {
+            vwgt[(off + c) as usize] = ch.vwgt[c as usize];
+            for (x, w) in ch.edges(c) {
+                if c < x {
+                    b.add_edge(off + c, off + x, w);
+                }
+            }
+        }
+    }
+    for (i, st) in sts.iter().enumerate() {
+        for s in &st.shard.stubs {
+            let sh = &st.shard;
+            if sh.new_to_old[s.u as usize] >= sh.ghosts[s.ghost as usize] {
+                continue; // each cross edge once, from its low endpoint
+            }
+            let j = sh.ghost_owner[s.ghost as usize] as usize;
+            let js = sh.ghost_owner_border[s.ghost as usize] as usize;
+            let cu = offsets[i] + border_id(st, s.u_border as usize, st.levels.len()) as Vid;
+            let cv = offsets[j] + border_id(&sts[j], js, sts[j].levels.len()) as Vid;
+            b.add_edge(cu, cv, s.w);
+        }
+    }
+    (b.vertex_weights(vwgt).build(), offsets)
+}
+
+/// Host-side halo layout of device `j` for a superstep at level `lvl`:
+/// its ghost slots — distinct (owner, owner's current coarse id) pairs,
+/// sorted, where `cl[i]` is the granularity device `i`'s partition sits
+/// at after the superstep's projection — and the adjacency that appends
+/// them to the level graph, with halo edges aggregated per (local coarse
+/// id, ghost slot) like contraction does. Also returns the layout's work.
+fn halo_layout(
+    sts: &[MutexGuard<DevState>],
+    j: usize,
+    lvl: usize,
+    cl: &[usize],
+) -> (Vec<(u32, u32)>, HaloLayout, Work) {
+    let sh = &sts[j].shard;
+    let pairs: Vec<(u32, u32)> = (0..sh.ghosts.len())
+        .map(|gi| {
+            let own = sh.ghost_owner[gi] as usize;
+            let b = sh.ghost_owner_border[gi] as usize;
+            (own as u32, border_id(&sts[own], b, cl[own]))
+        })
+        .collect();
+    let mut slots = pairs.clone();
+    slots.sort_unstable();
+    slots.dedup();
+    let fine_to_slot: Vec<u32> =
+        pairs.iter().map(|p| slots.binary_search(p).unwrap() as u32).collect();
+    // (`lvl` is always the last remaining level: the projection pops one
+    // per superstep, coarse end first.)
+    let fine_gpu = &sts[j].levels[lvl].graph;
+    let n_local = fine_gpu.n;
+    let n_ghost = slots.len();
+    let n_aug = n_local + n_ghost;
+    let mut agg: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+    for s in &sh.stubs {
+        let cu = border_id(&sts[j], s.u_border as usize, lvl);
+        let slot = fine_to_slot[s.ghost as usize];
+        *agg.entry((cu, slot)).or_default() += s.w;
+    }
+    let mut fwd_cnt = vec![0u32; n_local];
+    let mut rev_cnt = vec![0u32; n_ghost];
+    for &(cu, slot) in agg.keys() {
+        fwd_cnt[cu as usize] += 1;
+        rev_cnt[slot as usize] += 1;
+    }
+    let old_xadj = fine_gpu.xadj.to_vec();
+    let mut aug_xadj = vec![0u32; n_aug + 1];
+    let mut extra_off = vec![0u32; n_aug + 1];
+    for u in 0..n_local {
+        let deg = old_xadj[u + 1] - old_xadj[u];
+        aug_xadj[u + 1] = aug_xadj[u] + deg + fwd_cnt[u];
+        extra_off[u + 1] = extra_off[u] + fwd_cnt[u];
+    }
+    for t in 0..n_ghost {
+        aug_xadj[n_local + t + 1] = aug_xadj[n_local + t] + rev_cnt[t];
+        extra_off[n_local + t + 1] = extra_off[n_local + t] + rev_cnt[t];
+    }
+    let total_extra = extra_off[n_aug] as usize;
+    let mut extra_adj = vec![0u32; total_extra];
+    let mut extra_w = vec![0u32; total_extra];
+    let mut cursor = extra_off.clone();
+    for (&(cu, slot), &w) in &agg {
+        let c = cursor[cu as usize] as usize;
+        extra_adj[c] = n_local as u32 + slot;
+        extra_w[c] = w;
+        cursor[cu as usize] += 1;
+    }
+    let mut rev: Vec<(u32, u32, u32)> = agg.iter().map(|(&(cu, slot), &w)| (slot, cu, w)).collect();
+    rev.sort_unstable();
+    for (slot, cu, w) in rev {
+        let c = cursor[n_local + slot as usize] as usize;
+        extra_adj[c] = cu;
+        extra_w[c] = w;
+        cursor[n_local + slot as usize] += 1;
+    }
+    let work = Work::new((sh.stubs.len() + total_extra) as u64, n_aug as u64);
+    (slots, HaloLayout { aug_xadj, extra_off, extra_adj, extra_w }, work)
+}
+
+/// The orchestrator's view of one uncoarsening superstep.
+struct Superstep {
+    active: Vec<bool>,
+    /// Per active device: its sorted ghost slots (see [`halo_layout`]).
+    slots: Vec<Vec<(u32, u32)>>,
+    /// Per owner device: current coarse id → every (receiver, ghost slot)
+    /// that mirrors it.
+    routes: Vec<BTreeMap<u32, Vec<(usize, u32)>>>,
+    /// Per active device: its halo layout and the CPU-lane op building it.
+    layouts: Vec<Option<(HaloLayout, EventId)>>,
+    /// Per active device: local (non-ghost) vertex count at this level.
+    n_local: Vec<usize>,
+    /// Per active device: refinement state, created by the projection.
+    devs: Vec<Option<Mutex<StepState>>>,
+    /// Per device: ghost slots the last ship rewrote, which seed the next
+    /// pass's incremental re-mark.
+    changed: Vec<Vec<u32>>,
+}
+
+/// The uncoarsening phase: supersteps level-locked from the coarse end,
+/// plus the bookkeeping carried across them.
+struct Uncoarsening<'m, 'a> {
+    mg: &'m mut Multi<'a>,
+    /// Coarsening levels per device.
+    depth: Vec<usize>,
+    maxw: u32,
+    /// Global partition weights, allreduced after every pass.
+    global_pw: Vec<u32>,
+    /// The scattered coarse slices (the first projection's input).
+    scatter_ids: Vec<EventId>,
+    gpu_secs: f64,
+    label_secs: f64,
+    allreduce_secs: f64,
+    /// Per-device host-side layout work: stub aggregation (gathers) and
+    /// prefix-sum/fill passes (sequential writes).
+    halo_works: Vec<Work>,
+    /// Layout ops with provisional durations, rescaled to the
+    /// `cpu:mg:halo` charge once it is known.
+    halo_ops: Vec<(EventId, f64)>,
+    /// Events gating each device's next refinement pass, split by what
+    /// they actually gate: allreduce results (capacity headroom) gate the
+    /// whole pass, incoming label ships only its boundary portion
+    /// (interior/boundary comm/compute overlap).
+    caps_deps: Vec<Vec<EventId>>,
+    ghost_deps: Vec<Vec<EventId>>,
+}
+
+impl Uncoarsening<'_, '_> {
+    /// Run every superstep: device i idles at its coarsest until superstep
+    /// `lmax - depth[i]`, then walks one level per superstep, so every
+    /// device reaches level 0 on the final one. Then charge the phase.
+    fn run(mut self) -> Result<(), DeviceError> {
+        let lmax = self.depth.iter().copied().max().unwrap_or(0);
+        for step in 0..lmax {
+            self.superstep(step, lmax)?;
+        }
+        let mg = self.mg;
+        // layouts for different devices are independent host-side work
+        mg.ledger.parallel("cpu:mg:halo", &mg.model, &self.halo_works, lmax as u64);
+        // Rescale the provisional layout ops so the CPU lane's busy time
+        // equals the phase charge exactly (the ledger models the layouts
+        // as thread-parallel; the lane runs at that wall-clock rate).
+        let t_halo = mg.last_charge();
+        let wsum: f64 = self.halo_ops.iter().map(|&(_, w)| w).sum();
+        for &(id, w) in &self.halo_ops {
+            mg.tl.set_duration(id, if wsum > 0.0 { t_halo * (w / wsum) } else { 0.0 });
+        }
+        mg.ledger.seconds("gpu:uncoarsen(multi,max)", self.gpu_secs);
+        mg.ledger.seconds("ic:refine:labels", self.label_secs);
+        mg.ledger.seconds("ic:refine:allreduce", self.allreduce_secs);
+        Ok(())
+    }
+
+    /// One superstep: layouts, projection, ghost-label exchange, then
+    /// refinement passes, each followed by the moved-label ship and the
+    /// partition-weight allreduce.
+    fn superstep(&mut self, step: usize, lmax: usize) -> Result<(), DeviceError> {
+        let mut ss = self.plan(step, lmax);
+        self.project(&mut ss)?;
+        self.exchange_ghost_labels(&ss);
+        for pass in 0..self.mg.base.refine_passes {
+            let res = self.refine_pass(&mut ss, pass)?;
+            self.ship_labels(&mut ss, &res);
+            self.allreduce(&ss);
+            if res.iter().map(|r| r.0).sum::<u64>() == 0 {
+                break;
+            }
+        }
+        // Epilogue: the peak includes the level's halo state, which drops
+        // with `ss`.
+        for (i, st) in lock_all(&self.mg.states).iter_mut().enumerate() {
+            if ss.active[i] {
+                st.peak = st.peak.max(self.mg.group.device(i).mem_used());
+            }
+        }
+        Ok(())
+    }
+
+    /// Schedule the superstep and build the active devices' ghost views
+    /// and halo layouts. Layouts read only coarsening-era data (shard
+    /// stubs and bmap snapshots), so the CPU lane prepares step s+1's
+    /// layouts while the devices still refine step s.
+    fn plan(&mut self, step: usize, lmax: usize) -> Superstep {
+        let d = self.depth.len();
+        let mut active = vec![false; d];
+        let mut lvl = vec![0usize; d];
+        for (i, &li) in self.depth.iter().enumerate() {
+            if li > 0 && step >= lmax - li {
+                active[i] = true;
+                lvl[i] = li - 1 - (step - (lmax - li));
+            }
+        }
+        // Granularity each device's partition sits at after this
+        // superstep's projection (idle devices stay at the coarsest).
+        let cl: Vec<usize> =
+            (0..d).map(|i| if active[i] { lvl[i] } else { self.depth[i] }).collect();
+        let mut slots: Vec<Vec<(u32, u32)>> = vec![Vec::new(); d];
+        let mut routes: Vec<BTreeMap<u32, Vec<(usize, u32)>>> = vec![BTreeMap::new(); d];
+        let mut layouts: Vec<Option<(HaloLayout, EventId)>> = (0..d).map(|_| None).collect();
+        let sts = lock_all(&self.mg.states);
+        for j in (0..d).filter(|&j| active[j]) {
+            let (s, layout, work) = halo_layout(&sts, j, lvl[j], &cl);
+            for (slotno, &(own, cur)) in s.iter().enumerate() {
+                routes[own as usize].entry(cur).or_default().push((j, slotno as u32));
+            }
+            self.halo_works[j].add(work);
+            let w = work.seconds(&self.mg.model);
+            let id = self.mg.tl.record(EngineId::Cpu, "cpu:mg:halo", w, &[]);
+            self.halo_ops.push((id, w));
+            layouts[j] = Some((layout, id));
+            slots[j] = s;
+        }
+        let (n_local, devs, changed) = (Vec::new(), Vec::new(), vec![Vec::new(); d]);
+        Superstep { active, slots, routes, layouts, n_local, devs, changed }
+    }
+
+    /// Devices: project the partition to this level (ghost slots
+    /// appended), assemble the halo graph, allocate the pass state.
+    fn project(&mut self, ss: &mut Superstep) -> Result<(), DeviceError> {
+        let (mg, layouts) = (&mut *self.mg, &ss.layouts);
+        let base = mg.base;
+        let (devs, secs) = mg.on_devices(|i, dev| {
+            let Some((layout, _)) = &layouts[i] else { return Ok(None) };
+            let mut st = mg.states[i].lock().unwrap();
+            let st = &mut *st;
+            let level = st.levels.pop().unwrap();
+            let n_local = level.graph.n;
+            let n_ghost = layout.aug_xadj.len() - 1 - n_local;
+            let coarse_part = st.part.take().unwrap();
+            let (dist, threads) = (base.distribution, base.max_threads);
+            let part = gpu_project_halo(dev, &level.cmap, &coarse_part, n_ghost, dist, threads)?;
+            drop(coarse_part);
+            let halo = gpu_build_halo_graph(dev, &level.graph, layout, dist, threads)?;
+            // in-superstep memory peak: fine graph + halo copy coexist
+            // only here; dropping the level frees the fine graph and its
+            // cmap before the refinement pass state is allocated
+            st.peak = st.peak.max(dev.mem_used());
+            drop(level);
+            let refine = HaloRefine::new(dev, &halo, n_local, base.k)?;
+            let pw = dev.alloc::<u32>(base.k)?;
+            let caps = dev.alloc::<u32>(base.k)?;
+            st.part = Some(part);
+            Ok(Some((n_local, Mutex::new(StepState { halo, refine, pw, caps }))))
+        })?;
+        self.gpu_secs += slowest(&secs);
+        for (i, &dur) in secs.iter().enumerate() {
+            // projection + halo-graph assembly: needs this step's layout
+            // (CPU lane) and, on the first active step, the scattered
+            // coarse slice
+            let Some((_, layout_id)) = ss.layouts[i] else { continue };
+            let deps = [layout_id, self.scatter_ids[i]];
+            let compute = EngineId::Compute(i as u32);
+            mg.last_comp[i] = mg.tl.record(compute, "gpu:uncoarsen:project", dur, &deps);
+        }
+        (ss.n_local, ss.devs) = (devs.into_iter())
+            .map(|dev| dev.map_or((0, None), |(n_local, state)| (n_local, Some(state))))
+            .unzip();
+        Ok(())
+    }
+
+    /// Full ghost-label exchange: after projection every active device
+    /// needs its ghosts' labels at the new granularity.
+    fn exchange_ghost_labels(&mut self, ss: &Superstep) {
+        let mg = &mut *self.mg;
+        let sts = lock_all(&mg.states);
+        let ic = mg.group.interconnect();
+        let mut comm = CommStep::default();
+        for j in (0..sts.len()).filter(|&j| ss.active[j]) {
+            let jpart = sts[j].part.as_ref().unwrap();
+            let mut per_owner: BTreeMap<u32, u64> = BTreeMap::new();
+            for (slotno, &(own, cur)) in ss.slots[j].iter().enumerate() {
+                let label = sts[own as usize].part.as_ref().unwrap().load(cur as usize);
+                jpart.store(ss.n_local[j] + slotno, label);
+                *per_owner.entry(own).or_default() += 4;
+            }
+            for (own, bytes) in per_owner {
+                let secs = ic.record(own, j as u32, bytes);
+                comm.add(secs, own, j as u32);
+                // reads the owner's projected labels, lands in the
+                // receiver's ghost slots
+                let deps = [mg.last_comp[own as usize], mg.last_comp[j]];
+                let link = EngineId::Link(own, j as u32);
+                self.ghost_deps[j].push(mg.tl.record(link, "ic:refine:labels", secs, &deps));
+            }
+        }
+        self.label_secs += comm.max();
+    }
+
+    /// One refinement pass on all active devices concurrently. Returns
+    /// each device's committed move count and moved local vertices.
+    fn refine_pass(
+        &mut self,
+        ss: &mut Superstep,
+        pass: usize,
+    ) -> Result<Vec<(u64, Vec<u32>)>, DeviceError> {
+        let mg = &mut *self.mg;
+        let (base, d) = (mg.base, ss.active.len());
+        for s in ss.devs.iter().flatten() {
+            let s = s.lock().unwrap();
+            for (q, &w) in self.global_pw.iter().enumerate() {
+                s.pw.store(q, w);
+                // This device's share of the remaining headroom: D
+                // concurrent committers can't jointly overshoot.
+                let headroom = self.maxw.saturating_sub(w);
+                s.caps.store(q, w.saturating_add(headroom / d as u32));
+            }
+        }
+        let changed: Vec<Vec<u32>> = ss.changed.iter_mut().map(std::mem::take).collect();
+        let dir_up = pass.is_multiple_of(2) as u32;
+        let (res, secs) = mg.on_devices(|i, dev| {
+            let Some(s) = &ss.devs[i] else { return Ok((0, Vec::new())) };
+            let mut s = s.lock().unwrap();
+            let s = &mut *s;
+            s.refine.pass(
+                dev,
+                &s.halo,
+                ss.n_local[i],
+                mg.states[i].lock().unwrap().part.as_ref().unwrap(),
+                &s.pw,
+                &s.caps,
+                base.k,
+                dir_up,
+                &changed[i],
+                base.distribution,
+                base.max_threads,
+            )
+        })?;
+        self.gpu_secs += slowest(&secs);
+        for (i, &dur) in secs.iter().enumerate() {
+            if !ss.active[i] {
+                continue;
+            }
+            // Interior vertices carry no ghost edges, so their share of
+            // the pass needs only the previous pass's allreduce result
+            // (capacity headroom) and runs while the boundary's label
+            // traffic is still in flight; the boundary portion then
+            // consumes the shipped labels (two kernel launches, interior
+            // first). The boundary share is the ghost slots plus ghosted
+            // border vertices over the augmented vertex count.
+            let (ghosts, border) = (ss.slots[i].len() as f64, ss.routes[i].len() as f64);
+            let aug = ss.n_local[i] as f64 + ghosts;
+            let f = if aug > 0.0 { ((ghosts + border) / aug).min(1.0) } else { 0.0 };
+            let compute = EngineId::Compute(i as u32);
+            let caps = std::mem::take(&mut self.caps_deps[i]);
+            mg.tl.record(compute, "gpu:uncoarsen:pass", dur * (1.0 - f), &caps);
+            let ghosts = std::mem::take(&mut self.ghost_deps[i]);
+            mg.last_comp[i] =
+                mg.tl.record(compute, "gpu:uncoarsen:pass:boundary", dur * f, &ghosts);
+        }
+        Ok(res)
+    }
+
+    /// Ship each moved border label to every device that ghosts it;
+    /// receivers remember the changed slots for the next pass.
+    fn ship_labels(&mut self, ss: &mut Superstep, res: &[(u64, Vec<u32>)]) {
+        let mg = &mut *self.mg;
+        let sts = lock_all(&mg.states);
+        let mut ship: BTreeMap<(usize, usize), Vec<(u32, u32)>> = BTreeMap::new();
+        for (i, (_, moved)) in res.iter().enumerate() {
+            for &u in moved {
+                if let Some(targets) = ss.routes[i].get(&u) {
+                    let label = sts[i].part.as_ref().unwrap().load(u as usize);
+                    for &(j, slot) in targets {
+                        ship.entry((i, j)).or_default().push((slot, label));
+                    }
+                }
+            }
+        }
+        let ic = mg.group.interconnect();
+        let mut comm = CommStep::default();
+        for ((i, j), mut entries) in ship {
+            entries.sort_unstable();
+            let secs = ic.record(i as u32, j as u32, 4 * entries.len() as u64);
+            comm.add(secs, i as u32, j as u32);
+            let link = EngineId::Link(i as u32, j as u32);
+            self.ghost_deps[j].push(mg.tl.record(
+                link,
+                "ic:refine:labels",
+                secs,
+                &[mg.last_comp[i]],
+            ));
+            let jpart = sts[j].part.as_ref().unwrap();
+            for (slot, label) in entries {
+                jpart.store(ss.n_local[j] + slot as usize, label);
+                ss.changed[j].push(slot);
+            }
+        }
+        for l in &mut ss.changed {
+            l.sort_unstable();
+            l.dedup();
+        }
+        self.label_secs += comm.max();
+    }
+
+    /// Partition-weight allreduce (star through the lowest active device):
+    /// gather per-device deltas, scatter the new global weights. The
+    /// orchestrator (host) performs the reduction itself, so each leg is
+    /// host-terminated and pays one link traversal — not a full
+    /// device-to-device staged hop (see `Interconnect::record_host_leg`).
+    fn allreduce(&mut self, ss: &Superstep) {
+        let mg = &mut *self.mg;
+        let ic = mg.group.interconnect();
+        let bytes = 4 * mg.base.k as u64;
+        let root = ss.active.iter().position(|&a| a).unwrap() as u32;
+        let mut comm = CommStep::default();
+        let mut next: Vec<i64> = self.global_pw.iter().map(|&v| v as i64).collect();
+        let mut gather_ids: Vec<EventId> = Vec::new();
+        for (i, s) in ss.devs.iter().enumerate() {
+            let Some(s) = s else { continue };
+            let s = s.lock().unwrap();
+            for (q, nw) in next.iter_mut().enumerate() {
+                *nw += s.pw.load(q) as i64 - self.global_pw[q] as i64;
+            }
+            if i as u32 != root {
+                let secs = ic.record_host_leg(i as u32, root, bytes);
+                comm.add(secs, i as u32, root);
+                let link = EngineId::Link(i as u32, root);
+                gather_ids.push(mg.tl.record(
+                    link,
+                    "ic:refine:allreduce",
+                    secs,
+                    &[mg.last_comp[i]],
+                ));
+            }
+        }
+        // scatter legs: the reduced weights leave only after every
+        // gather arrived, and the next pass waits for its copy
+        for i in (0..ss.active.len()).filter(|&i| ss.active[i] && i as u32 != root) {
+            let secs = ic.record_host_leg(root, i as u32, bytes);
+            comm.add(secs, root, i as u32);
+            let link = EngineId::Link(root, i as u32);
+            self.caps_deps[i].push(mg.tl.record(link, "ic:refine:allreduce", secs, &gather_ids));
+        }
+        self.caps_deps[root as usize].extend(gather_ids);
+        self.allreduce_secs += comm.max();
+        for (q, nw) in next.iter().enumerate() {
+            self.global_pw[q] = *nw as u32;
+        }
     }
 }
 
@@ -255,801 +1035,61 @@ pub fn partition_multi(
 
     let t0 = std::time::Instant::now();
     let base = &cfg.base;
-    let k = base.k;
-    let n = g.n();
-    let d = cfg.devices.min(n.max(1));
-    let model = CpuModel::xeon_e5540(base.cpu_threads);
-    let ccfg = CoarsenConfig::for_k(k);
-    let max_vwgt = ccfg.max_vwgt(g.total_vwgt());
+    let (k, d) = (base.k, cfg.devices.min(g.n().max(1)));
+    let max_vwgt = CoarsenConfig::for_k(k).max_vwgt(g.total_vwgt());
     let maxw = gpm_graph::metrics::max_part_weight(g.total_vwgt(), k, base.ubfactor);
     let maxw = u32::try_from(maxw).map_err(|_| PartitionError::WeightOverflow)?;
-    let mut ledger = CostLedger::new();
-    let group = DeviceGroup::new(d, &base.gpu, cfg.link.clone());
-    let ic = group.interconnect();
-
-    // Overlap timeline (DESIGN.md §16): ops are recorded at the same
-    // phase boundaries the serialized ledger charges, with explicit event
-    // dependencies, and evaluated into a critical-path schedule at the
-    // end. Pure accounting — the pipeline never consults it, so it
-    // cannot perturb the partition or the ledger.
-    let mut tl = Timeline::new();
-    // last device-side op per device (the dep target for cross-engine
-    // edges: halo exchanges, downloads, allreduce legs)
-    let mut last_comp: Vec<EventId> = Vec::new();
-
-    // --- shard with halo bookkeeping -----------------------------------
-    let shards = halo_shards(g, d);
-    // Shard extraction runs as d concurrent pool tasks (see halo_shards);
-    // the scans are sequential copies over the block's CSR slice (vertex
-    // rate), the ghost lookups per cross edge are gathers (edge rate).
-    let shard_works: Vec<Work> = shards
-        .iter()
-        .map(|sh| {
-            Work::new(sh.stubs.len() as u64, (sh.sub.adjncy.len() + 2 * sh.sub.n()) as u64)
-                .with_ws(sh.sub.bytes())
-        })
-        .collect();
-    ledger.parallel("cpu:mg:shard", &model, &shard_works, 1);
-    // The CPU lane cuts the shards one block after another, in chunks:
-    // device i's copy engine uploads chunk c while the lane cuts chunk
-    // c+1 (double-buffered transfers). Equal slices of the phase charge
-    // keep the lane's busy time exactly the ledger value; chunk
-    // granularity treats bandwidth as dominant (PCIe latency is µs
-    // against ms-scale shard uploads).
-    let mut shard_chunk_ids: Vec<Vec<EventId>> = vec![Vec::new(); d];
-    let chunk = ledger.phases.last().map_or(0.0, |(_, s)| *s) / (d * UPLOAD_CHUNKS) as f64;
-    for ids in shard_chunk_ids.iter_mut() {
-        for _ in 0..UPLOAD_CHUNKS {
-            ids.push(tl.record(EngineId::Cpu, "cpu:mg:shard", chunk, &[]));
-        }
-    }
-    // Distinct border slots receiver j references on owner i — the
-    // per-level payload of the boundary-cmap exchange.
-    let mut needed: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    for (j, sh) in shards.iter().enumerate() {
-        let mut per_owner: BTreeMap<usize, std::collections::BTreeSet<u32>> = BTreeMap::new();
-        for (gi, &own) in sh.ghost_owner.iter().enumerate() {
-            per_owner.entry(own as usize).or_default().insert(sh.ghost_owner_border[gi]);
-        }
-        for (i, slots) in per_owner {
-            needed.insert((i, j), slots.len() as u64);
-        }
-    }
-    let states: Vec<Mutex<DevState>> = shards
-        .into_iter()
-        .map(|shard| {
-            Mutex::new(DevState {
-                shard,
-                levels: Vec::new(),
-                total_levels: 0,
-                cur: None,
-                bmap: None,
-                bmap_levels: Vec::new(),
-                scratch: None,
-                uniform: false,
-                stalled: false,
-                peak: 0,
-                coarse_host: None,
-                part: None,
-                halo: None,
-                refine: None,
-                pw: None,
-                caps: None,
-                n_local: 0,
-            })
-        })
-        .collect();
-
-    // --- upload (concurrent) -------------------------------------------
-    let before = clocks(&group);
-    join(gpm_pool::scoped_blocking(d, |i| -> Result<(), DeviceError> {
-        let mut st = states[i].lock().unwrap();
-        let dev = group.device(i);
-        let g0 = GpuCsr::upload(dev, &st.shard.sub)?;
-        if !st.shard.border.is_empty() {
-            st.bmap = Some(h2d_idx(dev, &st.shard.border)?);
-        }
-        st.uniform = st.shard.sub.uniform_edge_weights();
-        st.cur = Some(g0);
-        st.scratch = Some(GpuCoarsenScratch::new());
-        Ok(())
-    }))?;
-    ledger.seconds("xfer:h2d:graph(multi,max)", max_delta(&group, &before));
-    for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-        // One chunk per shard chunk; copy-engine chaining serializes the
-        // chunks while each waits only for its slice of the shard cut.
-        let mut last = None;
-        for &sid in &shard_chunk_ids[i] {
-            last = Some(tl.record(
-                EngineId::H2D(i as u32),
-                "xfer:h2d:graph",
-                dur / UPLOAD_CHUNKS as f64,
-                &[sid],
-            ));
-        }
-        last_comp.push(last.expect("UPLOAD_CHUNKS > 0"));
-    }
-
-    // --- coarsening supersteps (concurrent, one level each) ------------
-    let mut gpu_coarsen_secs = 0.0;
-    let mut ic_coarsen_secs = 0.0;
-    // Exchange payloads (bmap snapshots) are consumed host-side at merge
-    // time, not by the next superstep's kernels — so on the timeline the
-    // exchanges feed the merge, and each device's levels form one
-    // uninterrupted compute chain (comm/compute overlap replacing the
-    // serialized superstep fold).
-    let mut coarsen_exchange_ids: Vec<EventId> = Vec::new();
-    loop {
-        let can: Vec<bool> = {
-            let sts = lock_all(&states);
-            (0..d)
-                .map(|i| {
-                    !sts[i].stalled
-                        && sts[i].levels.len() < ccfg.max_levels
-                        && sts[i].cur.as_ref().is_some_and(|c| c.n > base.gpu_threshold)
-                })
-                .collect()
-        };
-        if !can.iter().any(|&c| c) {
-            break;
-        }
-        let before = clocks(&group);
-        let stepped = join(gpm_pool::scoped_blocking(d, |i| -> Result<bool, DeviceError> {
-            if !can[i] {
-                return Ok(false);
-            }
-            let mut st = states[i].lock().unwrap();
-            let st = &mut *st;
-            let dev = group.device(i);
-            let lvl = st.levels.len();
-            let cur = st.cur.as_ref().unwrap();
-            let (mat, _mstats) = gpu_matching(
-                dev,
-                cur,
-                max_vwgt,
-                base.match_rounds,
-                st.uniform,
-                base.seed.wrapping_add(lvl as u64),
-                base.distribution,
-                base.max_threads,
-            )?;
-            let scratch = st.scratch.as_mut().unwrap();
-            let (cmap, nc) = gpu_cmap_ws(dev, &mat, base.distribution, base.max_threads, scratch)?;
-            if nc as f64 / cur.n as f64 > ccfg.reduction_cutoff {
-                st.stalled = true; // stalled; this shard hands over early
-                return Ok(false);
-            }
-            let coarse =
-                gpu_contract_ws(dev, cur, &mat, &cmap, nc, base.merge, base.max_threads, scratch)?;
-            st.peak = st.peak.max(dev.mem_used());
-            if let Some(bmap) = st.bmap.as_ref() {
-                gpu_compose_bmap(dev, &cmap, bmap, base.distribution, base.max_threads)?;
-                let snap: Vec<u32> = (0..bmap.len()).map(|s| bmap.load(s)).collect();
-                st.bmap_levels.push(snap);
-            } else {
-                st.bmap_levels.push(Vec::new());
-            }
-            st.uniform = false;
-            let fine = std::mem::replace(st.cur.as_mut().unwrap(), coarse);
-            st.levels.push(GpuLevel { graph: fine, cmap });
-            Ok(true)
-        }))?;
-        gpu_coarsen_secs += max_delta(&group, &before);
-        for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-            if dur > 0.0 {
-                last_comp[i] =
-                    tl.record(EngineId::Compute(i as u32), "gpu:coarsen", dur, &[last_comp[i]]);
-            }
-        }
-        // Boundary-cmap halo exchange: every device that finished a level
-        // ships its changed border slots to each neighbor that ghosts
-        // them (coarse ids renumber every level, so all needed slots are
-        // changed slots).
-        let mut comm = CommStep::default();
-        for (i, &did) in stepped.iter().enumerate() {
-            if !did {
-                continue;
-            }
-            for (&(_, j), &slots) in needed.range((i, 0)..(i + 1, 0)) {
-                let secs = ic.record(i as u32, j as u32, 4 * slots);
-                comm.add(secs, i as u32, j as u32);
-                coarsen_exchange_ids.push(tl.record(
-                    EngineId::Link(i as u32, j as u32),
-                    "ic:coarsen:halo",
-                    secs,
-                    &[last_comp[i]],
-                ));
-            }
-        }
-        ic_coarsen_secs += comm.max();
-    }
-    ledger.seconds("gpu:coarsen(multi,max)", gpu_coarsen_secs);
-    ledger.seconds("ic:coarsen:halo", ic_coarsen_secs);
-
-    // --- download coarsest shards (concurrent) -------------------------
-    let before = clocks(&group);
-    join(gpm_pool::scoped_blocking(d, |i| -> Result<(), DeviceError> {
-        let mut st = states[i].lock().unwrap();
-        st.scratch = None; // contraction scratch is done for good
-        st.total_levels = st.levels.len();
-        let cur = st.cur.take().unwrap();
-        let host = cur.download(group.device(i))?;
-        st.peak = st.peak.max(group.device(i).mem_used());
-        st.coarse_host = Some(host);
-        Ok(())
-    }))?;
-    ledger.seconds("xfer:d2h:coarse(multi,max)", max_delta(&group, &before));
-    let mut d2h_coarse_ids: Vec<EventId> = Vec::new();
-    for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-        d2h_coarse_ids.push(tl.record(
-            EngineId::D2H(i as u32),
-            "xfer:d2h:coarse",
-            dur,
-            &[last_comp[i]],
-        ));
-    }
-
-    // --- merge coarsest shards + cross edges on the host ---------------
-    let (merged, offsets) = {
-        let sts = lock_all(&states);
-        let mut offsets = vec![0 as Vid; d + 1];
-        for i in 0..d {
-            offsets[i + 1] = offsets[i] + sts[i].coarse_host.as_ref().unwrap().n() as Vid;
-        }
-        let nc_total = offsets[d] as usize;
-        let mut b = GraphBuilder::new(nc_total);
-        let mut vwgt = vec![0u32; nc_total];
-        for i in 0..d {
-            let ch = sts[i].coarse_host.as_ref().unwrap();
-            let off = offsets[i];
-            for c in 0..ch.n() as Vid {
-                vwgt[(off + c) as usize] = ch.vwgt[c as usize];
-                for (x, w) in ch.edges(c) {
-                    if c < x {
-                        b.add_edge(off + c, off + x, w);
-                    }
-                }
-            }
-        }
-        for i in 0..d {
-            let li = sts[i].levels.len();
-            for s in &sts[i].shard.stubs {
-                let gu = sts[i].shard.new_to_old[s.u as usize];
-                let gv = sts[i].shard.ghosts[s.ghost as usize];
-                if gu >= gv {
-                    continue; // each cross edge once, from its low endpoint
-                }
-                let j = sts[i].shard.ghost_owner[s.ghost as usize] as usize;
-                let js = sts[i].shard.ghost_owner_border[s.ghost as usize] as usize;
-                let cu = offsets[i] + border_id(&sts[i], s.u_border as usize, li) as Vid;
-                let cv = offsets[j] + border_id(&sts[j], js, sts[j].levels.len()) as Vid;
-                b.add_edge(cu, cv, s.w);
-            }
-        }
-        (b.vertex_weights(vwgt).build(), offsets)
+    let mut mg = Multi {
+        base,
+        model: CpuModel::xeon_e5540(base.cpu_threads),
+        group: DeviceGroup::new(d, &base.gpu, cfg.link.clone()),
+        states: Vec::new(),
+        ledger: CostLedger::new(),
+        tl: Timeline::new(),
+        last_comp: Vec::new(),
     };
-    ledger.serial(
-        "cpu:mg:merge",
-        &model,
-        Work::new(merged.adjncy.len() as u64, merged.n() as u64).with_ws(merged.bytes()),
-    );
-    // the merge needs every coarse shard and every exchanged bmap
-    let deps: Vec<EventId> = d2h_coarse_ids.iter().chain(&coarsen_exchange_ids).copied().collect();
-    let secs = ledger.phases.last().map_or(0.0, |(_, s)| *s);
-    tl.record(EngineId::Cpu, "cpu:mg:merge", secs, &deps);
-
-    // --- CPU partitions the merged coarse graph ------------------------
-    let mid = gpm_mtmetis::partition(&merged, &crate::mt_config(base));
-    let mut mt_done: Option<EventId> = None;
-    for (name, secs) in &mid.ledger.phases {
-        ledger.seconds(&format!("cpu:{name}"), *secs);
-        mt_done = Some(tl.record(EngineId::Cpu, &format!("cpu:{name}"), *secs, &[]));
+    let coarsening = mg.shard_and_upload(g)?;
+    let exchange_ids = mg.coarsen(&coarsening, max_vwgt)?;
+    let depth: Vec<usize> = lock_all(&mg.states).iter().map(|s| s.levels.len()).collect();
+    let (cpu_levels, global_pw, scatter_ids) = mg.bridge(coarsening, exchange_ids)?;
+    Uncoarsening {
+        mg: &mut mg,
+        depth: depth.clone(),
+        maxw,
+        global_pw,
+        scatter_ids,
+        gpu_secs: 0.0,
+        label_secs: 0.0,
+        allreduce_secs: 0.0,
+        halo_works: vec![Work::default(); d],
+        halo_ops: Vec::new(),
+        caps_deps: vec![Vec::new(); d],
+        ghost_deps: vec![Vec::new(); d],
     }
-    let mut global_pw = vec![0u32; k];
-    for (c, &p) in mid.part.iter().enumerate() {
-        global_pw[p as usize] += merged.vwgt[c];
-    }
-
-    // --- scatter coarse partition slices (concurrent) ------------------
-    let before = clocks(&group);
-    join(gpm_pool::scoped_blocking(d, |i| -> Result<(), DeviceError> {
-        let mut st = states[i].lock().unwrap();
-        let slice: Vec<u32> = (offsets[i]..offsets[i + 1]).map(|c| mid.part[c as usize]).collect();
-        st.n_local = slice.len();
-        st.part = Some(group.device(i).h2d(&slice)?);
-        Ok(())
-    }))?;
-    ledger.seconds("xfer:h2d:part(multi,max)", max_delta(&group, &before));
-    let mut scatter_ids: Vec<EventId> = Vec::new();
-    let deps: Vec<EventId> = mt_done.into_iter().collect();
-    for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-        scatter_ids.push(tl.record(EngineId::H2D(i as u32), "xfer:h2d:part", dur, &deps));
-    }
-
-    // --- uncoarsening supersteps ---------------------------------------
-    // Level-locked from the coarse end: device i idles at its coarsest
-    // until superstep `lmax - levels_i`, then walks one level per
-    // superstep; every device reaches level 0 on the final superstep.
-    let lmax = {
-        let sts = lock_all(&states);
-        sts.iter().map(|s| s.total_levels).max().unwrap_or(0)
-    };
-    let mut gpu_uncoarsen_secs = 0.0;
-    let mut ic_label_secs = 0.0;
-    let mut ic_allreduce_secs = 0.0;
-    // per-device host-side layout work: stub aggregation (gathers) and
-    // prefix-sum/fill passes (sequential writes)
-    let mut halo_edge_works = vec![0u64; d];
-    let mut halo_vert_works = vec![0u64; d];
-    // Timeline bookkeeping: layout ops get provisional durations
-    // (rescaled to the cpu:mg:halo charge once it is known), and events
-    // that gate a device's next refinement pass accumulate here between
-    // passes — split by what they actually gate: allreduce results
-    // (capacity headroom) gate the whole pass, incoming label ships only
-    // its boundary portion (interior/boundary comm/compute overlap).
-    let mut halo_ops: Vec<(EventId, f64)> = Vec::new();
-    let mut caps_deps: Vec<Vec<EventId>> = vec![Vec::new(); d];
-    let mut ghost_deps: Vec<Vec<EventId>> = vec![Vec::new(); d];
-    for step in 0..lmax {
-        // Orchestrator: schedule, ghost views and halo layouts.
-        let mut active = vec![false; d];
-        let mut lvl = vec![0usize; d];
-        // (sorted (owner, coarse-id) ghost slots, fine-to-slot map)
-        type GhostView = (Vec<(u32, u32)>, Vec<u32>);
-        let mut gviews: Vec<Option<GhostView>> = (0..d).map(|_| None).collect();
-        let mut layouts: Vec<Option<HaloLayout>> = (0..d).map(|_| None).collect();
-        let mut routes: Vec<BTreeMap<u32, Vec<(usize, u32)>>> =
-            (0..d).map(|_| BTreeMap::new()).collect();
-        let mut layout_ids: Vec<Option<EventId>> = vec![None; d];
-        {
-            let sts = lock_all(&states);
-            for i in 0..d {
-                let li = sts[i].total_levels;
-                if li > 0 && step >= lmax - li {
-                    active[i] = true;
-                    lvl[i] = li - 1 - (step - (lmax - li));
-                }
-            }
-            // Granularity each device's partition sits at after this
-            // superstep's projection (idle devices stay at the coarsest).
-            let cl: Vec<usize> =
-                (0..d).map(|i| if active[i] { lvl[i] } else { sts[i].total_levels }).collect();
-            for j in 0..d {
-                if !active[j] {
-                    continue;
-                }
-                let sh = &sts[j].shard;
-                // Ghost slots: distinct (owner, owner-current-id) pairs.
-                let pairs: Vec<(u32, u32)> = (0..sh.ghosts.len())
-                    .map(|gi| {
-                        let own = sh.ghost_owner[gi] as usize;
-                        let b = sh.ghost_owner_border[gi] as usize;
-                        (own as u32, border_id(&sts[own], b, cl[own]))
-                    })
-                    .collect();
-                let mut slots = pairs.clone();
-                slots.sort_unstable();
-                slots.dedup();
-                let fine_to_slot: Vec<u32> =
-                    pairs.iter().map(|p| slots.binary_search(p).unwrap() as u32).collect();
-                for (slotno, &(own, cur)) in slots.iter().enumerate() {
-                    routes[own as usize].entry(cur).or_default().push((j, slotno as u32));
-                }
-                // Halo edges at this granularity, aggregated per
-                // (local coarse id, ghost slot) like contraction does.
-                // (`lvl[j]` is always the last remaining level: the
-                // device phase pops one per superstep, coarse end first.)
-                let fine_gpu = &sts[j].levels[lvl[j]].graph;
-                let n_local = fine_gpu.n;
-                let n_ghost = slots.len();
-                let n_aug = n_local + n_ghost;
-                let mut agg: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-                for s in &sh.stubs {
-                    let cu = border_id(&sts[j], s.u_border as usize, lvl[j]);
-                    let slot = fine_to_slot[s.ghost as usize];
-                    *agg.entry((cu, slot)).or_default() += s.w;
-                }
-                let mut fwd_cnt = vec![0u32; n_local];
-                let mut rev_cnt = vec![0u32; n_ghost];
-                for &(cu, slot) in agg.keys() {
-                    fwd_cnt[cu as usize] += 1;
-                    rev_cnt[slot as usize] += 1;
-                }
-                let old_xadj = fine_gpu.xadj.to_vec();
-                let mut aug_xadj = vec![0u32; n_aug + 1];
-                let mut extra_off = vec![0u32; n_aug + 1];
-                for u in 0..n_local {
-                    let deg = old_xadj[u + 1] - old_xadj[u];
-                    aug_xadj[u + 1] = aug_xadj[u] + deg + fwd_cnt[u];
-                    extra_off[u + 1] = extra_off[u] + fwd_cnt[u];
-                }
-                for t in 0..n_ghost {
-                    aug_xadj[n_local + t + 1] = aug_xadj[n_local + t] + rev_cnt[t];
-                    extra_off[n_local + t + 1] = extra_off[n_local + t] + rev_cnt[t];
-                }
-                let total_extra = extra_off[n_aug] as usize;
-                let mut extra_adj = vec![0u32; total_extra];
-                let mut extra_w = vec![0u32; total_extra];
-                let mut cursor = extra_off.clone();
-                for (&(cu, slot), &w) in &agg {
-                    let c = cursor[cu as usize] as usize;
-                    extra_adj[c] = n_local as u32 + slot;
-                    extra_w[c] = w;
-                    cursor[cu as usize] += 1;
-                }
-                let mut rev: Vec<(u32, u32, u32)> =
-                    agg.iter().map(|(&(cu, slot), &w)| (slot, cu, w)).collect();
-                rev.sort_unstable();
-                for (slot, cu, w) in rev {
-                    let c = cursor[n_local + slot as usize] as usize;
-                    extra_adj[c] = cu;
-                    extra_w[c] = w;
-                    cursor[n_local + slot as usize] += 1;
-                }
-                let e_inc = (sh.stubs.len() + total_extra) as u64;
-                let v_inc = n_aug as u64;
-                halo_edge_works[j] += e_inc;
-                halo_vert_works[j] += v_inc;
-                // Layouts read only coarsening-era data (shard stubs
-                // and bmap snapshots), so the CPU lane prepares step
-                // s+1's layouts while the devices still refine step s.
-                let w = Work::new(e_inc, v_inc).seconds(&model);
-                let id = tl.record(EngineId::Cpu, "cpu:mg:halo", w, &[]);
-                layout_ids[j] = Some(id);
-                halo_ops.push((id, w));
-                layouts[j] = Some(HaloLayout { aug_xadj, extra_off, extra_adj, extra_w });
-                gviews[j] = Some((slots, fine_to_slot));
-            }
-        }
-
-        // Devices: project, assemble halo graph, allocate pass state.
-        let before = clocks(&group);
-        join(gpm_pool::scoped_blocking(d, |i| -> Result<(), DeviceError> {
-            if !active[i] {
-                return Ok(());
-            }
-            let mut st = states[i].lock().unwrap();
-            let st = &mut *st;
-            let dev = group.device(i);
-            let layout = layouts[i].as_ref().unwrap();
-            let level = st.levels.pop().unwrap();
-            let n_local = level.graph.n;
-            let n_ghost = layout.aug_xadj.len() - 1 - n_local;
-            let coarse_part = st.part.take().unwrap();
-            let part = gpu_project_halo(
-                dev,
-                &level.cmap,
-                &coarse_part,
-                n_ghost,
-                base.distribution,
-                base.max_threads,
-            )?;
-            drop(coarse_part);
-            let halo = gpu_build_halo_graph(
-                dev,
-                &level.graph,
-                layout,
-                base.distribution,
-                base.max_threads,
-            )?;
-            // in-superstep memory peak: fine graph + halo copy coexist
-            // only here; dropping the level frees the fine graph and its
-            // cmap before the refinement pass state is allocated
-            st.peak = st.peak.max(dev.mem_used());
-            drop(level);
-            st.refine = Some(HaloRefine::new(dev, &halo, n_local, k)?);
-            st.pw = Some(dev.alloc::<u32>(k)?);
-            st.caps = Some(dev.alloc::<u32>(k)?);
-            st.n_local = n_local;
-            st.part = Some(part);
-            st.halo = Some(halo);
-            Ok(())
-        }))?;
-        gpu_uncoarsen_secs += max_delta(&group, &before);
-        for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-            if !active[i] {
-                continue;
-            }
-            // projection + halo-graph assembly: needs this step's
-            // layout (CPU lane) and, on the first active step, the
-            // scattered coarse slice
-            let deps = [layout_ids[i].unwrap(), scatter_ids[i]];
-            last_comp[i] =
-                tl.record(EngineId::Compute(i as u32), "gpu:uncoarsen:project", dur, &deps);
-        }
-
-        // Full ghost-label exchange: after projection every active device
-        // needs its ghosts' labels at the new granularity.
-        let mut bfrac = vec![0.0f64; d];
-        {
-            let sts = lock_all(&states);
-            // Boundary share of each device's pass work at this
-            // granularity: ghost slots plus ghosted border vertices over
-            // the augmented vertex count. Splits the modeled pass op so
-            // only this fraction waits on label traffic.
-            for j in 0..d {
-                let Some((slots, _)) = &gviews[j] else { continue };
-                let ghosts = slots.len() as f64;
-                let border = routes[j].len() as f64;
-                let aug = sts[j].n_local as f64 + ghosts;
-                if aug > 0.0 {
-                    bfrac[j] = ((ghosts + border) / aug).min(1.0);
-                }
-            }
-            let mut comm = CommStep::default();
-            for j in 0..d {
-                let Some((slots, _)) = &gviews[j] else { continue };
-                let base_slot = sts[j].n_local;
-                let jpart = sts[j].part.as_ref().unwrap();
-                let mut per_owner: BTreeMap<u32, u64> = BTreeMap::new();
-                for (slotno, &(own, cur)) in slots.iter().enumerate() {
-                    let label = sts[own as usize].part.as_ref().unwrap().load(cur as usize);
-                    jpart.store(base_slot + slotno, label);
-                    *per_owner.entry(own).or_default() += 4;
-                }
-                for (own, bytes) in per_owner {
-                    let secs = ic.record(own, j as u32, bytes);
-                    comm.add(secs, own, j as u32);
-                    // reads the owner's projected labels, lands in the
-                    // receiver's ghost slots
-                    let deps = [last_comp[own as usize], last_comp[j]];
-                    let id =
-                        tl.record(EngineId::Link(own, j as u32), "ic:refine:labels", secs, &deps);
-                    ghost_deps[j].push(id);
-                }
-            }
-            ic_label_secs += comm.max();
-        }
-
-        // Refinement passes: all active devices run one pass concurrently,
-        // then the orchestrator ships moved border labels and allreduces
-        // the partition weights.
-        let mut pending_gchg: Vec<Vec<u32>> = vec![Vec::new(); d];
-        for pass in 0..base.refine_passes {
-            let dir_up = (pass % 2 == 0) as u32;
-            {
-                let sts = lock_all(&states);
-                for (i, st) in sts.iter().enumerate() {
-                    if !active[i] {
-                        continue;
-                    }
-                    let pwb = st.pw.as_ref().unwrap();
-                    let capsb = st.caps.as_ref().unwrap();
-                    for (q, &w) in global_pw.iter().enumerate() {
-                        pwb.store(q, w);
-                        // This device's share of the remaining headroom:
-                        // D concurrent committers can't jointly overshoot.
-                        let headroom = maxw.saturating_sub(w);
-                        capsb.store(q, w.saturating_add(headroom / d as u32));
-                    }
-                }
-            }
-            let snap = global_pw.clone();
-            let gchg: Vec<Vec<u32>> = pending_gchg.iter_mut().map(std::mem::take).collect();
-            let before = clocks(&group);
-            let res =
-                join(gpm_pool::scoped_blocking(d, |i| -> Result<(u64, Vec<u32>), DeviceError> {
-                    if !active[i] {
-                        return Ok((0, Vec::new()));
-                    }
-                    let mut st = states[i].lock().unwrap();
-                    let st = &mut *st;
-                    let dev = group.device(i);
-                    st.refine.as_mut().unwrap().pass(
-                        dev,
-                        st.halo.as_ref().unwrap(),
-                        st.n_local,
-                        st.part.as_ref().unwrap(),
-                        st.pw.as_ref().unwrap(),
-                        st.caps.as_ref().unwrap(),
-                        k,
-                        dir_up,
-                        &gchg[i],
-                        base.distribution,
-                        base.max_threads,
-                    )
-                }))?;
-            gpu_uncoarsen_secs += max_delta(&group, &before);
-            for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                // Interior vertices carry no ghost edges, so their
-                // share of the pass needs only the previous pass's
-                // allreduce result (capacity headroom) and runs while
-                // the boundary's label traffic is still in flight; the
-                // boundary portion then consumes the shipped labels
-                // (two kernel launches, interior first).
-                let f = bfrac[i];
-                let caps = std::mem::take(&mut caps_deps[i]);
-                tl.record(
-                    EngineId::Compute(i as u32),
-                    "gpu:uncoarsen:pass",
-                    dur * (1.0 - f),
-                    &caps,
-                );
-                let ghosts = std::mem::take(&mut ghost_deps[i]);
-                last_comp[i] = tl.record(
-                    EngineId::Compute(i as u32),
-                    "gpu:uncoarsen:pass:boundary",
-                    dur * f,
-                    &ghosts,
-                );
-            }
-            let total: u64 = res.iter().map(|r| r.0).sum();
-            {
-                let sts = lock_all(&states);
-                // Ship each moved border label to every device that
-                // ghosts it; receivers remember the changed slots for the
-                // next pass's incremental re-mark.
-                let mut ship: BTreeMap<(usize, usize), Vec<(u32, u32)>> = BTreeMap::new();
-                for (i, (_, moved)) in res.iter().enumerate() {
-                    for &u in moved {
-                        if let Some(targets) = routes[i].get(&u) {
-                            let label = sts[i].part.as_ref().unwrap().load(u as usize);
-                            for &(j, slot) in targets {
-                                ship.entry((i, j)).or_default().push((slot, label));
-                            }
-                        }
-                    }
-                }
-                let mut comm = CommStep::default();
-                for ((i, j), mut entries) in ship {
-                    entries.sort_unstable();
-                    let secs = ic.record(i as u32, j as u32, 4 * entries.len() as u64);
-                    comm.add(secs, i as u32, j as u32);
-                    let id = tl.record(
-                        EngineId::Link(i as u32, j as u32),
-                        "ic:refine:labels",
-                        secs,
-                        &[last_comp[i]],
-                    );
-                    ghost_deps[j].push(id);
-                    let base_slot = sts[j].n_local;
-                    let jpart = sts[j].part.as_ref().unwrap();
-                    for (slot, label) in entries {
-                        jpart.store(base_slot + slot as usize, label);
-                        pending_gchg[j].push(slot);
-                    }
-                }
-                for l in &mut pending_gchg {
-                    l.sort_unstable();
-                    l.dedup();
-                }
-                ic_label_secs += comm.max();
-                // Partition-weight allreduce (star through the lowest
-                // active device): gather per-device deltas, scatter the
-                // new global weights. The orchestrator (host) performs the
-                // reduction itself, so each leg is host-terminated and
-                // pays one link traversal — not a full device-to-device
-                // staged hop (see `Interconnect::record_host_leg`).
-                let root = active.iter().position(|&a| a).unwrap() as u32;
-                let mut comm = CommStep::default();
-                let mut next: Vec<i64> = snap.iter().map(|&v| v as i64).collect();
-                let mut gather_ids: Vec<EventId> = Vec::new();
-                for (i, st) in sts.iter().enumerate() {
-                    if !active[i] {
-                        continue;
-                    }
-                    let pwb = st.pw.as_ref().unwrap();
-                    for (q, nw) in next.iter_mut().enumerate() {
-                        *nw += pwb.load(q) as i64 - snap[q] as i64;
-                    }
-                    if i as u32 != root {
-                        let secs = ic.record_host_leg(i as u32, root, 4 * k as u64);
-                        comm.add(secs, i as u32, root);
-                        gather_ids.push(tl.record(
-                            EngineId::Link(i as u32, root),
-                            "ic:refine:allreduce",
-                            secs,
-                            &[last_comp[i]],
-                        ));
-                    }
-                }
-                // scatter legs: the reduced weights leave only after every
-                // gather arrived, and the next pass waits for its copy
-                for i in 0..d {
-                    if !active[i] || i as u32 == root {
-                        continue;
-                    }
-                    let secs = ic.record_host_leg(root, i as u32, 4 * k as u64);
-                    comm.add(secs, root, i as u32);
-                    let id = tl.record(
-                        EngineId::Link(root, i as u32),
-                        "ic:refine:allreduce",
-                        secs,
-                        &gather_ids,
-                    );
-                    caps_deps[i].push(id);
-                }
-                caps_deps[root as usize].extend(gather_ids);
-                ic_allreduce_secs += comm.max();
-                for (q, nw) in next.iter().enumerate() {
-                    global_pw[q] = *nw as u32;
-                }
-            }
-            if total == 0 {
-                break;
-            }
-        }
-
-        // Superstep epilogue: release the level's halo state.
-        {
-            let mut sts = lock_all(&states);
-            for (i, st) in sts.iter_mut().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                st.peak = st.peak.max(group.device(i).mem_used());
-                st.halo = None;
-                st.refine = None;
-                st.pw = None;
-                st.caps = None;
-            }
-        }
-    }
-    // layouts for different devices are independent host-side work
-    let works: Vec<Work> =
-        halo_edge_works.iter().zip(&halo_vert_works).map(|(&e, &v)| Work::new(e, v)).collect();
-    ledger.parallel("cpu:mg:halo", &model, &works, lmax as u64);
-    // Rescale the provisional layout ops so the CPU lane's busy time
-    // equals the phase charge exactly (the ledger models the layouts
-    // as thread-parallel; the lane runs at that wall-clock rate).
-    let t_halo = ledger.phases.last().map_or(0.0, |(_, s)| *s);
-    let wsum: f64 = halo_ops.iter().map(|&(_, w)| w).sum();
-    for &(id, w) in &halo_ops {
-        tl.set_duration(id, if wsum > 0.0 { t_halo * (w / wsum) } else { 0.0 });
-    }
-    ledger.seconds("gpu:uncoarsen(multi,max)", gpu_uncoarsen_secs);
-    ledger.seconds("ic:refine:labels", ic_label_secs);
-    ledger.seconds("ic:refine:allreduce", ic_allreduce_secs);
-
-    // --- gather fine partitions (concurrent) ---------------------------
-    let before = clocks(&group);
-    let fins = join(gpm_pool::scoped_blocking(d, |i| -> Result<Vec<u32>, DeviceError> {
-        let mut st = states[i].lock().unwrap();
-        let dpart = st.part.take().unwrap();
-        group.device(i).d2h(&dpart)
-    }))?;
-    ledger.seconds("xfer:d2h:part(multi,max)", max_delta(&group, &before));
-    for (i, &dur) in deltas(&group, &before).iter().enumerate() {
-        tl.record(EngineId::D2H(i as u32), "xfer:d2h:part", dur, &[last_comp[i]]);
-    }
-    let mut part = vec![0u32; n];
-    let (gpu_levels, peaks, transfer_bytes) = {
-        let sts = lock_all(&states);
-        for (i, st) in sts.iter().enumerate() {
-            for (lu, &old) in st.shard.new_to_old.iter().enumerate() {
-                part[old as usize] = fins[i][lu];
-            }
-        }
-        let gpu_levels: Vec<usize> = sts.iter().map(|s| s.total_levels).collect();
-        let peaks: Vec<u64> =
-            sts.iter().enumerate().map(|(i, s)| s.peak.max(group.device(i).mem_used())).collect();
-        let xfer: u64 = group.devices().iter().map(Device::transfer_bytes_total).sum();
-        (gpu_levels, peaks, xfer)
-    };
+    .run()?;
+    let (part, peak_device_bytes) = mg.gather(g.n())?;
 
     // diagnostics (like edge_cut/imbalance below, not a pipeline phase)
     let tracker = BoundaryTracker::build(g, &part);
     let edge_cut = gpm_graph::metrics::edge_cut(g, &part);
     let imbalance = gpm_graph::metrics::imbalance(g, &part, k);
-    let levels = gpu_levels.iter().max().copied().unwrap_or(0) + mid.levels;
-    let overlap = Some(tl.report(ledger.total()));
+    let levels = depth.iter().max().copied().unwrap_or(0) + cpu_levels;
+    let overlap = Some(mg.tl.report(mg.ledger.total()));
+    let ic = mg.group.interconnect();
     Ok(MultiGpuResult {
         result: PartitionResult {
             part,
             k,
             edge_cut,
             imbalance,
-            ledger,
+            ledger: mg.ledger,
             wall_seconds: t0.elapsed().as_secs_f64(),
             levels,
         },
         devices: d,
-        gpu_levels,
-        peak_device_bytes: peaks,
-        transfer_bytes,
+        gpu_levels: depth,
+        peak_device_bytes,
+        transfer_bytes: mg.group.devices().iter().map(Device::transfer_bytes_total).sum(),
         link_stats: ic.links(),
         interconnect_bytes: ic.total_bytes(),
         interconnect_seconds: ic.total_seconds(),

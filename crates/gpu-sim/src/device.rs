@@ -351,11 +351,6 @@ impl Device {
         self.fault_retries.load(Ordering::Relaxed)
     }
 
-    /// The fault injector driving this device, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
-    }
-
     /// True once an injected `DeviceLost` fault has poisoned the device.
     pub fn is_lost(&self) -> bool {
         self.dead.load(Ordering::Relaxed)

@@ -93,11 +93,6 @@ impl Timeline {
         &self.ops
     }
 
-    /// The last op recorded on `engine`, if any.
-    pub fn last_on(&self, engine: EngineId) -> Option<EventId> {
-        self.last_on_engine.get(&engine).copied()
-    }
-
     /// Evaluate the earliest-start schedule. Record-time dependency
     /// checking guarantees every dep precedes its dependent in `ops`, so
     /// one forward pass suffices.

@@ -56,11 +56,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of (directed, pre-dedup) edge records currently held.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Produce the normalized CSR graph.
     pub fn build(self) -> CsrGraph {
         let n = self.n;

@@ -131,12 +131,6 @@ impl<T> Receiver<T> {
             inner = guard;
         }
     }
-
-    /// Dequeue without blocking; `None` when the queue is empty (even if
-    /// senders remain).
-    pub fn try_recv(&self) -> Option<T> {
-        self.chan.inner.lock().unwrap().queue.pop_front()
-    }
 }
 
 impl<T> Clone for Receiver<T> {

@@ -19,13 +19,6 @@ pub struct DistMatching {
     pub pvw: Vec<u32>,
 }
 
-impl DistMatching {
-    /// True if local vertex `lid` is matched.
-    pub fn is_matched(&self, lg: &LocalGraph, lid: usize) -> bool {
-        self.mat[lid] != lg.gid(lid)
-    }
-}
-
 /// Run `passes` alternating-direction matching passes. Collective.
 pub fn dist_matching(
     ctx: &mut RankCtx,

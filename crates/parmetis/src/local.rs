@@ -100,11 +100,6 @@ impl LocalGraph {
             + ((self.adjwgt.len() + self.vwgt.len()) * 4) as u64
     }
 
-    /// Sum of local vertex weights.
-    pub fn local_vwgt(&self) -> u64 {
-        self.vwgt.iter().map(|&w| w as u64).sum()
-    }
-
     /// Block-distribute a global graph: the slice owned by `rank` out of
     /// `ranks` (the paper's initial V/p distribution).
     pub fn from_global(g: &CsrGraph, ranks: usize, rank: usize) -> LocalGraph {

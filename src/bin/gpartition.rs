@@ -34,7 +34,10 @@
 //! `nvlink` for peer-to-peer links) and reports a per-device summary and
 //! the per-link transfer ledger on stderr. `--devices 0`, and a fault
 //! plan or `--fallback` at two or more devices, are rejected with a typed
-//! configuration error.
+//! configuration error. The engine flags `--devices`, `--interconnect`,
+//! `--fallback` and `--gpu-threshold` are rejected with any other
+//! `--algo`, and `--interconnect` is rejected without `--devices`, rather
+//! than silently ignored.
 //!
 //! Fault injection: set `GPM_FAULTS=<seed>:<spec>[,<spec>...]` to run the
 //! hybrid engine under a deterministic fault schedule (see `gpm-faults`),
@@ -75,7 +78,7 @@ struct Args {
     compressed: bool,
     eval: Option<String>,
     devices: Option<usize>,
-    interconnect: String,
+    interconnect: Option<String>,
     timeline: bool,
 }
 
@@ -110,7 +113,7 @@ fn parse_args() -> Args {
         compressed: false,
         eval: None,
         devices: None,
-        interconnect: "pcie".into(),
+        interconnect: None,
         timeline: false,
     };
     while let Some(flag) = argv.next() {
@@ -141,7 +144,7 @@ fn parse_args() -> Args {
                 args.devices =
                     Some(argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
             }
-            "--interconnect" => args.interconnect = argv.next().unwrap_or_else(|| usage()),
+            "--interconnect" => args.interconnect = Some(argv.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
@@ -151,8 +154,32 @@ fn parse_args() -> Args {
     args
 }
 
+/// Flags only the gpmetis engine reads are rejected with any other
+/// engine instead of being silently ignored; so is a fabric without a
+/// device count.
+fn check_engine_flags(a: &Args) -> Result<(), String> {
+    let engine_flags = [
+        ("--devices", a.devices.is_some()),
+        ("--interconnect", a.interconnect.is_some()),
+        ("--fallback", a.fallback),
+        ("--gpu-threshold", a.gpu_threshold.is_some()),
+    ];
+    let set: Vec<&str> = engine_flags.iter().filter(|f| f.1).map(|f| f.0).collect();
+    if a.algo != "gpmetis" && !set.is_empty() {
+        return Err(format!("--algo {} does not take {}", a.algo, set.join(", ")));
+    }
+    if a.interconnect.is_some() && a.devices.is_none() {
+        return Err("--interconnect needs --devices".into());
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let a = parse_args();
+    if let Err(e) = check_engine_flags(&a) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let mut g = if a.input.ends_with(".gr") {
         let f = match std::fs::File::open(&a.input) {
             Ok(f) => f,
@@ -262,8 +289,9 @@ fn main() -> ExitCode {
                 c.gpu_threshold = t;
             }
             if let Some(devices) = a.devices {
-                let Some(link) = LinkConfig::by_name(&a.interconnect) else {
-                    eprintln!("error: unknown interconnect {:?}", a.interconnect);
+                let fabric = a.interconnect.as_deref().unwrap_or("pcie");
+                let Some(link) = LinkConfig::by_name(fabric) else {
+                    eprintln!("error: unknown interconnect {fabric:?}");
                     return ExitCode::FAILURE;
                 };
                 let cfg = MultiGpuConfig::new(c, devices).with_link(link);
@@ -273,7 +301,7 @@ fn main() -> ExitCode {
                             eprintln!(
                                 "devices        : {} over {} ({})",
                                 r.devices,
-                                a.interconnect,
+                                fabric,
                                 if cfg.link.p2p { "peer-to-peer" } else { "staged via host" }
                             );
                             for i in 0..r.devices {

@@ -67,6 +67,36 @@ fn cli_summary_line_on_stdout() {
 }
 
 #[test]
+fn cli_rejects_engine_flags_it_would_ignore() {
+    let dir = std::env::temp_dir().join("gpm_cli_test3");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("g.graph");
+    write_metis_file(&delaunay_like(500, 7), &graph_path).unwrap();
+    let run = |flags: &[&str]| {
+        let mut args = vec![graph_path.to_str().unwrap(), "4", "--quiet"];
+        args.extend_from_slice(flags);
+        Command::new(bin()).args(&args).output().unwrap()
+    };
+    // (flags, the flag the error must name)
+    for (flags, named) in [
+        (&["--algo", "metis", "--devices", "4"][..], "--devices"),
+        (&["--algo", "mtmetis", "--fallback", "--gpu-threshold", "10"], "--fallback"),
+        (&["--algo", "mtmetis", "--fallback", "--gpu-threshold", "10"], "--gpu-threshold"),
+        (&["--algo", "parmetis", "--interconnect", "nvlink"], "--interconnect"),
+        (&["--interconnect", "warp9"], "--interconnect"),
+    ] {
+        let out = run(flags);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flags:?} must be rejected");
+        assert!(err.contains(named), "{flags:?}: error must name {named}: {err}");
+    }
+    // the engine flags still work where they apply
+    let out = run(&["--devices", "2", "--interconnect", "nvlink", "--gpu-threshold", "100"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(&graph_path).ok();
+}
+
+#[test]
 fn cli_rejects_bad_input() {
     let out = Command::new(bin()).args(["/nonexistent/x.graph", "4", "--quiet"]).output().unwrap();
     assert!(!out.status.success());
