@@ -274,6 +274,16 @@ start_daemon "$smoke/port" --workers 4 --queue 64 --cache 64 > "$smoke/serve.log
     --output "$smoke/served.part" 2> "$smoke/submit1.txt"
 diff -q "$smoke/clean.part" "$smoke/served.part"
 echo "daemon partition is byte-identical to single-shot gpartition"
+#    ... and so is every CPU engine's: the daemon maps --algo metis,
+#    mtmetis and parmetis as gpartition does. The mtmetis mapping is also
+#    the rung that serves breaker-open and failed GP-metis jobs.
+for algo in metis mtmetis parmetis; do
+    "$gp" "$graph" 8 --quiet --seed 3 --algo "$algo" --output "$smoke/cli_$algo.part"
+    "$loadgen" submit "$daemon_addr" "$graph" 8 --seed 3 --algo "$algo" \
+        --output "$smoke/served_$algo.part" 2> "$smoke/submit_$algo.txt"
+    diff -q "$smoke/cli_$algo.part" "$smoke/served_$algo.part"
+done
+echo "served metis, mtmetis and parmetis jobs are byte-identical to gpartition --algo"
 # 2. the duplicate submission is served from the result cache, still
 #    byte-identical
 "$loadgen" submit "$daemon_addr" "$graph" 8 --seed 3 --gpu-threshold 400 \

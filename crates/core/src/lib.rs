@@ -21,8 +21,11 @@
 //! run with real host-thread concurrency and CUDA-like memory semantics,
 //! and their time is modeled from coalesced-transaction and warp-
 //! instruction counts with GTX Titan constants.
+//!
+//! This crate is the partitioner only. A long-lived service's per-job
+//! policy (the GPU circuit breaker and the mt-metis last rung) lives in
+//! `gpm-serve`.
 
-pub mod breaker;
 pub mod gpu_graph;
 pub mod kernels;
 pub mod multi_gpu;
@@ -162,21 +165,6 @@ impl From<PlanParseError> for PartitionError {
     }
 }
 
-/// Lets a whole run sit inside a [`gpm_faults::FaultScope`] retry loop
-/// (gpm-serve's per-job resilience ladder): only a transient device error
-/// that exhausted the in-device retry budget is worth re-running; plan
-/// errors and weight overflows are deterministic and fatal.
-impl gpm_faults::Transience for PartitionError {
-    fn is_transient(&self) -> bool {
-        match self {
-            PartitionError::Device(e) => e.is_transient(),
-            PartitionError::Plan(_)
-            | PartitionError::WeightOverflow
-            | PartitionError::Config(_) => false,
-        }
-    }
-}
-
 /// What actually happened during a run: fault-injection and degradation
 /// bookkeeping, present on every result (all zeros/None for a clean run).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -194,10 +182,6 @@ pub struct RunReport {
     /// GPU coarsening levels captured in the checkpoint and reused by the
     /// fallback (0 when checkpointing was off).
     pub checkpoint_gpu_levels: usize,
-    /// Circuit-breaker view after this job, when the run went through
-    /// [`partition_supervised`]. `None` for plain (un-supervised) runs,
-    /// so existing byte-identity comparisons of clean reports still hold.
-    pub breaker: Option<breaker::BreakerSnapshot>,
 }
 
 /// Host-side copy of the device hierarchy, maintained level-by-level while
@@ -245,8 +229,7 @@ pub struct GpMetisResult {
     pub report: RunReport,
     /// Overlap-aware schedule of the run (critical-path makespan and
     /// per-engine occupancy) when the run finished on the clean GPU path.
-    /// `None` on the degraded / CPU-only paths, whose timeline the DAG
-    /// does not model.
+    /// `None` on the degraded path, whose timeline the DAG does not model.
     pub overlap: Option<gpm_gpu_sim::OverlapReport>,
 }
 
@@ -693,89 +676,6 @@ pub fn partition_with_plan(
     }
 }
 
-/// Serve a job CPU-only (mt-metis with the hybrid config's k/threads/
-/// balance/seed) without touching the device — the breaker-open path.
-/// The partition bytes are identical to gpm-serve's last-rung fallback
-/// for the same request, so breaker-open replies verify against the same
-/// reference.
-pub fn cpu_only_partition(g: &CsrGraph, cfg: &GpMetisConfig) -> GpMetisResult {
-    let mt = mt_config(cfg);
-    let result = gpm_mtmetis::partition(g, &mt);
-    GpMetisResult {
-        result,
-        gpu: GpuReport {
-            gpu_levels: 0,
-            cpu_levels: 0,
-            match_conflicts: 0,
-            refine_moves: 0,
-            transfer_seconds: 0.0,
-            transfer_bytes: 0,
-            gpu_seconds: 0.0,
-            peak_device_bytes: 0,
-            kernel_log: Vec::new(),
-        },
-        report: RunReport {
-            degraded: true,
-            degrade_point: Some("breaker:open".to_string()),
-            ..RunReport::default()
-        },
-        overlap: None,
-    }
-}
-
-/// [`partition_with_plan`] under a circuit breaker and a seeded retry
-/// scope — the per-job entry point for long-lived services.
-///
-/// One breaker admission and at most one breaker record happen per call,
-/// no matter how many transient retries the scope performs, so the
-/// cooldown really is "measured in jobs". The lock is held only across
-/// `admit`/`record`/`snapshot`, never across the partition itself.
-/// Returns the run outcome (with `report.breaker` populated) and the
-/// number of serve-level retries performed.
-pub fn partition_supervised(
-    g: &CsrGraph,
-    cfg: &GpMetisConfig,
-    plan: Option<FaultPlan>,
-    brk: &std::sync::Mutex<breaker::CircuitBreaker>,
-    policy: gpm_faults::RetryPolicy,
-    retry_seed: u64,
-) -> (Result<GpMetisResult, PartitionError>, u32) {
-    let admission = {
-        let mut b = brk.lock().unwrap_or_else(|p| p.into_inner());
-        b.admit()
-    };
-    if admission == breaker::Admission::CpuOnly {
-        let mut r = cpu_only_partition(g, cfg);
-        r.report.breaker = Some(brk.lock().unwrap_or_else(|p| p.into_inner()).snapshot());
-        return (Ok(r), 0);
-    }
-    let mut attempts = 0u32;
-    let mut scope = gpm_faults::FaultScope::seeded("serve.job", policy, retry_seed);
-    let out = scope.run(|| {
-        attempts += 1;
-        partition_with_plan(g, cfg, plan.clone())
-    });
-    // Only genuine device deaths feed the breaker: a run that finished on
-    // the in-run CPU fallback (degraded) lost its device, as did a run
-    // that failed with a fatal DeviceError. Plan/config errors say
-    // nothing about device health.
-    let fatal = match &out {
-        Ok(r) => r.report.degraded,
-        Err(PartitionError::Device(e)) => !e.is_transient(),
-        Err(_) => false,
-    };
-    let snap = {
-        let mut b = brk.lock().unwrap_or_else(|p| p.into_inner());
-        b.record(fatal);
-        b.snapshot()
-    };
-    let out = out.map(|mut r| {
-        r.report.breaker = Some(snap);
-        r
-    });
-    (out, attempts.saturating_sub(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1000,99 +900,5 @@ mod tests {
         let a = partition(&g, &small_cfg(4).with_seed(3)).unwrap();
         let b = partition(&g, &small_cfg(4).with_seed(3)).unwrap();
         assert_eq!(a.gpu.gpu_levels, b.gpu.gpu_levels);
-    }
-
-    use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-    use std::sync::Mutex;
-
-    /// A plan whose very first kernel launch kills the device — every
-    /// supervised GpMetis job under it is a fatal outcome.
-    fn killer_plan() -> FaultPlan {
-        FaultPlan::new(7).with("gpu.launch", Selector::One(0), FaultKind::DeviceLost)
-    }
-
-    #[test]
-    fn supervised_trips_then_serves_cpu_only_then_recovers() {
-        let g = delaunay_like(2_000, 8);
-        let cfg = small_cfg(4).with_seed(3).with_fallback(true);
-        let brk =
-            Mutex::new(CircuitBreaker::new(BreakerConfig { threshold: 2, window: 4, cooldown: 2 }));
-        let policy = gpm_faults::RetryPolicy::default();
-        let mt_ref = gpm_mtmetis::partition(&g, &mt_config(&cfg));
-        let clean_ref = partition_with_plan(&g, &cfg, None).unwrap();
-
-        // Two fatal jobs trip the breaker (engine-internal fallback
-        // absorbs the death, so the jobs still succeed degraded).
-        for _ in 0..2 {
-            let (out, _) = partition_supervised(&g, &cfg, Some(killer_plan()), &brk, policy, 3);
-            let r = out.unwrap();
-            assert!(r.report.degraded);
-        }
-        assert_eq!(brk.lock().unwrap().snapshot().state, BreakerState::Open);
-        assert_eq!(brk.lock().unwrap().snapshot().trips, 1);
-
-        // Cooldown: the next two jobs are served CPU-only, byte-identical
-        // to the mt-metis reference, without consulting the device.
-        for _ in 0..2 {
-            let (out, retries) = partition_supervised(&g, &cfg, None, &brk, policy, 3);
-            let r = out.unwrap();
-            assert_eq!(retries, 0);
-            assert_eq!(r.report.degrade_point.as_deref(), Some("breaker:open"));
-            assert_eq!(r.result.part, mt_ref.part);
-            let b = r.report.breaker.unwrap();
-            assert_eq!(b.state, BreakerState::Open);
-        }
-
-        // Half-open probe with a clean plan closes the breaker and the
-        // job is byte-identical to an unsupervised clean run.
-        let (out, _) = partition_supervised(&g, &cfg, None, &brk, policy, 3);
-        let r = out.unwrap();
-        assert!(!r.report.degraded);
-        assert_eq!(r.result.part, clean_ref.result.part);
-        let b = r.report.breaker.unwrap();
-        assert_eq!(b.state, BreakerState::Closed);
-        assert_eq!(b.cpu_only_jobs, 2);
-    }
-
-    #[test]
-    fn supervised_breaker_trace_is_deterministic() {
-        let g = delaunay_like(2_000, 8);
-        let cfg = small_cfg(4).with_seed(3).with_fallback(true);
-        let run = || {
-            let brk = Mutex::new(CircuitBreaker::new(BreakerConfig {
-                threshold: 2,
-                window: 4,
-                cooldown: 1,
-            }));
-            let policy = gpm_faults::RetryPolicy::default();
-            let mut trace = Vec::new();
-            for i in 0..6 {
-                let plan = (i < 2 || i == 3).then(killer_plan);
-                let (out, _) = partition_supervised(&g, &cfg, plan, &brk, policy, 3);
-                let r = out.unwrap();
-                trace.push((r.result.part, r.report.breaker.unwrap()));
-            }
-            trace
-        };
-        assert_eq!(run(), run(), "same job sequence must replay the same breaker trace");
-    }
-
-    #[test]
-    fn supervised_clean_run_matches_unsupervised_bytes() {
-        let g = delaunay_like(2_000, 8);
-        let cfg = small_cfg(4).with_seed(3);
-        let brk = Mutex::new(CircuitBreaker::new(BreakerConfig::default()));
-        let (out, retries) =
-            partition_supervised(&g, &cfg, None, &brk, gpm_faults::RetryPolicy::default(), 3);
-        let sup = out.unwrap();
-        let plain = partition_with_plan(&g, &cfg, None).unwrap();
-        assert_eq!(retries, 0);
-        assert_eq!(sup.result.part, plain.result.part);
-        assert_eq!(
-            sup.result.modeled_seconds().to_bits(),
-            plain.result.modeled_seconds().to_bits(),
-            "supervision must not perturb modeled time"
-        );
-        assert_eq!(sup.report.breaker.unwrap().state, BreakerState::Closed);
     }
 }

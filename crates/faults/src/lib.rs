@@ -8,6 +8,11 @@
 //! injection *site* (e.g. `gpu.h2d`, `msg.send.r1`), a [`Selector`] over
 //! that site's invocation counter, and the [`FaultKind`] to raise.
 //!
+//! Retry happens at the injection site: the device and the message
+//! substrate retry transient faults under a [`RetryPolicy`]. Nothing
+//! retries a whole run, because a fresh injector built from the same plan
+//! fails again at the same invocation.
+//!
 //! Determinism contract: a site's invocation counter increments on every
 //! [`FaultInjector::check`] call, and probabilistic selectors draw from a
 //! SplitMix64 stream keyed by `(plan seed, site name, invocation index)` —
@@ -325,11 +330,6 @@ impl FaultInjector {
         }
     }
 
-    /// An injector that never fires (empty plan).
-    pub fn disabled() -> FaultInjector {
-        FaultInjector::new(FaultPlan::empty())
-    }
-
     /// False when the plan is empty — call sites use this to skip counter
     /// bookkeeping entirely so the zero-fault path stays byte-identical
     /// (no locks, no modeled-time changes).
@@ -365,11 +365,6 @@ impl FaultInjector {
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
-
-    /// The plan this injector runs.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
 }
 
 impl fmt::Debug for FaultInjector {
@@ -392,143 +387,18 @@ pub struct RetryPolicy {
     pub base_backoff_secs: f64,
     /// Multiplier per subsequent retry.
     pub factor: f64,
-    /// Jitter fraction in `[0, 1]`: each backoff is multiplied by a factor
-    /// drawn uniformly from `[1 - jitter/2, 1 + jitter/2)` so concurrent
-    /// retriers (e.g. a loadgen fleet hitting `QueueFull`) don't
-    /// re-synchronize on the same schedule. The draw is seeded — see
-    /// [`FaultScope::seeded`] — never wall-clock or thread identity, so the
-    /// jittered sequence is reproducible. `0.0` (the default) disables
-    /// jitter and keeps the historical backoff values bit-exact.
-    pub jitter: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_retries: 3, base_backoff_secs: 100e-6, factor: 4.0, jitter: 0.0 }
+        RetryPolicy { max_retries: 3, base_backoff_secs: 100e-6, factor: 4.0 }
     }
 }
 
 impl RetryPolicy {
     /// Backoff before retry `attempt` (1-based): `base * factor^(attempt-1)`.
-    /// Jitter-free; [`FaultScope`] applies the policy's jitter on top when
-    /// it has a seeded stream.
     pub fn backoff_secs(&self, attempt: u32) -> f64 {
         self.base_backoff_secs * self.factor.powi(attempt.saturating_sub(1) as i32)
-    }
-
-    /// Policy from the environment, for long-lived processes (gpm-serve)
-    /// whose operators tune retry budgets without a rebuild:
-    /// `GPM_RETRY_MAX` (retries after the first attempt),
-    /// `GPM_RETRY_BASE_US` (first backoff, microseconds) and
-    /// `GPM_RETRY_FACTOR` (multiplier), `GPM_RETRY_JITTER` (jitter
-    /// fraction in `[0, 1]`). Unset or unparsable variables keep the
-    /// defaults.
-    pub fn from_env() -> RetryPolicy {
-        let d = RetryPolicy::default();
-        let get = |k: &str| std::env::var(k).ok();
-        RetryPolicy {
-            max_retries: get("GPM_RETRY_MAX").and_then(|v| v.parse().ok()).unwrap_or(d.max_retries),
-            base_backoff_secs: get("GPM_RETRY_BASE_US")
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|us| us.is_finite() && *us >= 0.0)
-                .map(|us| us * 1e-6)
-                .unwrap_or(d.base_backoff_secs),
-            factor: get("GPM_RETRY_FACTOR")
-                .and_then(|v| v.parse().ok())
-                .filter(|f: &f64| f.is_finite() && *f >= 1.0)
-                .unwrap_or(d.factor),
-            jitter: get("GPM_RETRY_JITTER")
-                .and_then(|v| v.parse().ok())
-                .filter(|j: &f64| j.is_finite() && (0.0..=1.0).contains(j))
-                .unwrap_or(d.jitter),
-        }
-    }
-}
-
-/// Trait for errors the retry loop can classify.
-pub trait Transience {
-    fn is_transient(&self) -> bool;
-}
-
-impl Transience for FaultError {
-    fn is_transient(&self) -> bool {
-        FaultError::is_transient(self)
-    }
-}
-
-/// A named retry scope: runs a fallible operation under a [`RetryPolicy`],
-/// retrying transient errors with exponential backoff and accounting the
-/// retries and backoff time so callers can charge them to a modeled clock.
-#[derive(Debug)]
-pub struct FaultScope {
-    pub name: &'static str,
-    policy: RetryPolicy,
-    retries: u64,
-    backoff_secs: f64,
-    /// Seeded jitter stream; `None` (unseeded scope) applies no jitter
-    /// even if the policy asks for it, keeping legacy scopes bit-exact.
-    jitter_rng: Option<SplitMix64>,
-}
-
-impl FaultScope {
-    pub fn new(name: &'static str) -> FaultScope {
-        FaultScope::with_policy(name, RetryPolicy::default())
-    }
-
-    pub fn with_policy(name: &'static str, policy: RetryPolicy) -> FaultScope {
-        FaultScope { name, policy, retries: 0, backoff_secs: 0.0, jitter_rng: None }
-    }
-
-    /// A scope whose backoff jitter draws from the same stream family as
-    /// the fault plan's probabilistic selectors: SplitMix64 keyed by
-    /// `(seed ^ fnv1a(name))`. Same seed + same retry sequence → the same
-    /// jittered backoff values, on any thread count.
-    pub fn seeded(name: &'static str, policy: RetryPolicy, seed: u64) -> FaultScope {
-        FaultScope {
-            name,
-            policy,
-            retries: 0,
-            backoff_secs: 0.0,
-            jitter_rng: Some(SplitMix64::stream(seed ^ fnv1a(name), 0)),
-        }
-    }
-
-    /// Backoff for the next retry `attempt` (1-based), with the policy's
-    /// jitter applied when this scope is seeded.
-    fn next_backoff(&mut self, attempt: u32) -> f64 {
-        let base = self.policy.backoff_secs(attempt);
-        match (&mut self.jitter_rng, self.policy.jitter) {
-            (Some(rng), j) if j > 0.0 => base * (1.0 - j / 2.0 + j * rng.next_f64()),
-            _ => base,
-        }
-    }
-
-    /// Run `f`, retrying transient errors up to the policy bound. Fatal
-    /// errors and exhausted retries return the last error.
-    pub fn run<T, E: Transience>(&mut self, mut f: impl FnMut() -> Result<T, E>) -> Result<T, E> {
-        let mut attempt = 0u32;
-        loop {
-            match f() {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    self.retries += 1;
-                    let b = self.next_backoff(attempt);
-                    self.backoff_secs += b;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Retries performed across all `run` calls in this scope.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Total backoff accumulated, for charging to a modeled clock.
-    pub fn backoff_seconds(&self) -> f64 {
-        self.backoff_secs
     }
 }
 
@@ -599,7 +469,7 @@ mod tests {
 
     #[test]
     fn empty_plan_never_fires_and_is_inactive() {
-        let inj = FaultInjector::disabled();
+        let inj = FaultInjector::new(FaultPlan::empty());
         assert!(!inj.is_active());
         for _ in 0..100 {
             assert!(inj.check("gpu.launch").is_none());
@@ -644,121 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn scope_retries_transient_until_success() {
-        let mut scope = FaultScope::new("test");
-        let mut left = 2;
-        let out: Result<u32, FaultError> = scope.run(|| {
-            if left > 0 {
-                left -= 1;
-                Err(FaultError { site: "s".into(), invocation: 0, kind: FaultKind::TransferError })
-            } else {
-                Ok(7)
-            }
-        });
-        assert_eq!(out.unwrap(), 7);
-        assert_eq!(scope.retries(), 2);
-        // 100us + 400us of exponential backoff.
-        assert!((scope.backoff_seconds() - 500e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retry_policy_from_env_defaults_when_unset() {
-        // The test environment does not set GPM_RETRY_*; from_env must
-        // then equal the default policy (CI would catch a stray setting).
-        if std::env::var_os("GPM_RETRY_MAX").is_none()
-            && std::env::var_os("GPM_RETRY_BASE_US").is_none()
-            && std::env::var_os("GPM_RETRY_FACTOR").is_none()
-        {
-            assert_eq!(RetryPolicy::from_env(), RetryPolicy::default());
-        }
-    }
-
-    /// Drive a seeded scope through `retries` transient failures and
-    /// return the accumulated (jittered) backoff.
-    fn jittered_total(seed: u64, jitter: f64, retries: u32) -> f64 {
-        let policy = RetryPolicy { max_retries: retries, jitter, ..RetryPolicy::default() };
-        let mut scope = FaultScope::seeded("jitter.test", policy, seed);
-        let mut left = retries;
-        let _: Result<(), FaultError> = scope.run(|| {
-            if left > 0 {
-                left -= 1;
-                Err(FaultError { site: "s".into(), invocation: 0, kind: FaultKind::TransferError })
-            } else {
-                Ok(())
-            }
-        });
-        scope.backoff_seconds()
-    }
-
-    #[test]
-    fn seeded_jitter_is_reproducible() {
-        let a = jittered_total(42, 0.5, 3);
-        let b = jittered_total(42, 0.5, 3);
-        assert_eq!(a.to_bits(), b.to_bits(), "same seed must replay bit-identical jitter");
-        let c = jittered_total(43, 0.5, 3);
-        assert_ne!(a.to_bits(), c.to_bits(), "different seeds should jitter differently");
-    }
-
-    #[test]
-    fn zero_jitter_matches_unseeded_backoff_exactly() {
-        let jittered = jittered_total(7, 0.0, 3);
-        let mut plain = FaultScope::with_policy(
-            "jitter.test",
-            RetryPolicy { max_retries: 3, ..RetryPolicy::default() },
-        );
-        let mut left = 3;
-        let _: Result<(), FaultError> = plain.run(|| {
-            if left > 0 {
-                left -= 1;
-                Err(FaultError { site: "s".into(), invocation: 0, kind: FaultKind::TransferError })
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!(jittered.to_bits(), plain.backoff_seconds().to_bits());
-    }
-
-    #[test]
-    fn jitter_stays_within_band_and_off_without_seed() {
-        // Jittered backoff must stay within [1-j/2, 1+j/2) of the base.
-        let j = 0.8;
-        let total = jittered_total(9, j, 1);
-        let base = RetryPolicy::default().backoff_secs(1);
-        assert!(total >= base * (1.0 - j / 2.0) && total < base * (1.0 + j / 2.0));
-        // An unseeded scope ignores the policy's jitter entirely.
-        let mut scope = FaultScope::with_policy(
-            "jitter.test",
-            RetryPolicy { max_retries: 1, jitter: j, ..RetryPolicy::default() },
-        );
-        let mut left = 1;
-        let _: Result<(), FaultError> = scope.run(|| {
-            if left > 0 {
-                left -= 1;
-                Err(FaultError { site: "s".into(), invocation: 0, kind: FaultKind::TransferError })
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!(scope.backoff_seconds().to_bits(), base.to_bits());
-    }
-
-    #[test]
-    fn scope_gives_up_on_fatal_and_exhaustion() {
-        let mut scope = FaultScope::new("fatal");
-        let out: Result<(), FaultError> = scope.run(|| {
-            Err(FaultError { site: "s".into(), invocation: 0, kind: FaultKind::DeviceLost })
-        });
-        assert!(!out.unwrap_err().is_transient());
-        assert_eq!(scope.retries(), 0, "fatal faults are not retried");
-
-        let mut scope = FaultScope::with_policy(
-            "exhaust",
-            RetryPolicy { max_retries: 2, ..RetryPolicy::default() },
-        );
-        let out: Result<(), FaultError> = scope.run(|| {
-            Err(FaultError { site: "s".into(), invocation: 0, kind: FaultKind::KernelAbort })
-        });
-        assert!(out.is_err());
-        assert_eq!(scope.retries(), 2);
+    fn backoff_grows_by_factor() {
+        let p = RetryPolicy::default();
+        assert_eq!(p.backoff_secs(1), 100e-6);
+        assert!((p.backoff_secs(2) - 400e-6).abs() < 1e-18);
+        assert!((p.backoff_secs(3) - 1600e-6).abs() < 1e-18);
     }
 }

@@ -90,12 +90,6 @@ impl std::fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
-impl gpm_faults::Transience for DeviceError {
-    fn is_transient(&self) -> bool {
-        DeviceError::is_transient(self)
-    }
-}
-
 /// Statistics of one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelStats {
@@ -139,18 +133,6 @@ impl KernelStats {
         }
         self.accesses as f64 / self.transactions as f64
     }
-}
-
-/// Aggregated statistics for one kernel name (see
-/// [`Device::kernel_summary`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelSummary {
-    pub name: String,
-    pub launches: u64,
-    pub seconds: f64,
-    pub transactions: u64,
-    pub accesses: u64,
-    pub warp_instr: u64,
 }
 
 /// Per-group statistics accumulator for one kernel launch.
@@ -424,32 +406,6 @@ impl Device {
         self.state.lock().unwrap().log.clone()
     }
 
-    /// Per-kernel-name aggregation of the launch log: launches, modeled
-    /// seconds, transactions, accesses, warp instructions — sorted by
-    /// total time descending.
-    pub fn kernel_summary(&self) -> Vec<KernelSummary> {
-        let mut agg: std::collections::BTreeMap<String, KernelSummary> =
-            std::collections::BTreeMap::new();
-        for k in self.state.lock().unwrap().log.iter() {
-            let e = agg.entry(k.name.clone()).or_insert_with(|| KernelSummary {
-                name: k.name.clone(),
-                launches: 0,
-                seconds: 0.0,
-                transactions: 0,
-                accesses: 0,
-                warp_instr: 0,
-            });
-            e.launches += 1;
-            e.seconds += k.seconds;
-            e.transactions += k.transactions;
-            e.accesses += k.accesses;
-            e.warp_instr += k.warp_instr;
-        }
-        let mut v: Vec<KernelSummary> = agg.into_values().collect();
-        v.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).unwrap_or(std::cmp::Ordering::Equal));
-        v
-    }
-
     /// Total PCIe transfer seconds so far.
     pub fn transfer_seconds_total(&self) -> f64 {
         self.state.lock().unwrap().transfers.iter().map(|&(_, _, s)| s).sum()
@@ -712,25 +668,6 @@ mod tests {
 
     fn lane_noop(l: &mut crate::lane::Lane, b: &DBuf<u32>) -> u32 {
         l.ld(b, l.tid % b.len())
-    }
-
-    #[test]
-    fn kernel_summary_aggregates() {
-        let d = dev();
-        let b = d.alloc::<u32>(64).unwrap();
-        for _ in 0..3 {
-            d.launch("x", 64, |l| {
-                let _ = l.ld(&b, l.tid);
-            })
-            .unwrap();
-        }
-        d.launch("y", 64, |l| l.alu(5)).unwrap();
-        let s = d.kernel_summary();
-        assert_eq!(s.len(), 2);
-        let x = s.iter().find(|k| k.name == "x").unwrap();
-        assert_eq!(x.launches, 3);
-        assert!(x.seconds > 0.0);
-        assert!(x.transactions > 0);
     }
 
     #[test]

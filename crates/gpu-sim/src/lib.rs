@@ -28,7 +28,7 @@ pub mod stream;
 
 pub use buffer::{DBuf, DeviceInt, DeviceWord};
 pub use config::GpuConfig;
-pub use device::{Device, DeviceError, GpuOom, KernelStats, KernelSummary};
+pub use device::{Device, DeviceError, GpuOom, KernelStats};
 pub use event::{EngineId, EventId};
 pub use interconnect::{DeviceGroup, Interconnect, LinkConfig, LinkStats};
 pub use lane::Lane;

@@ -14,8 +14,6 @@
 //!   The submitting thread participates (drains and steals like a
 //!   worker), so the call makes progress even when every pool worker is
 //!   busy with another batch.
-//! * [`parallel_for`] / [`parallel_reduce`] — range and reduction
-//!   conveniences over [`parallel_chunks`].
 //! * [`scoped_blocking`] — fork-join over tasks that may *block on each
 //!   other* (barriers, message receives): each task gets a dedicated
 //!   persistent thread from a grow-on-demand cache. This serves the
@@ -598,38 +596,6 @@ where
     global().parallel_chunks(n, f)
 }
 
-/// Run `f` over `range` in chunks of at most `grain` indices on the
-/// global pool.
-pub fn parallel_for<F>(range: std::ops::Range<usize>, grain: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let len = range.len();
-    if len == 0 {
-        return;
-    }
-    let grain = grain.max(1);
-    let n_chunks = len.div_ceil(grain);
-    let start = range.start;
-    parallel_chunks(n_chunks, |c| {
-        let lo = start + c * grain;
-        let hi = (lo + grain).min(range.end);
-        f(lo..hi)
-    });
-}
-
-/// Map chunks on the global pool, then fold the per-chunk values **in
-/// index order** on the submitting thread — the deterministic reduction
-/// the ported phases rely on (never fold in completion order).
-pub fn parallel_reduce<T, A, M, F>(n_chunks: usize, init: T, map: M, fold: F) -> T
-where
-    A: Send,
-    M: Fn(usize) -> A + Sync,
-    F: FnMut(T, A) -> T,
-{
-    parallel_chunks(n_chunks, map).into_iter().fold(init, fold)
-}
-
 // ---------------------------------------------------------------------------
 // Blocking scoped executor (rank fan-out)
 // ---------------------------------------------------------------------------
@@ -848,24 +814,6 @@ mod tests {
         let pool = Pool::new(3);
         let out = pool.parallel_chunks(17, |i| i as u64 * 3);
         assert_eq!(out, (0..17).map(|i| i * 3).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn parallel_for_covers_range() {
-        let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(0..97, 10, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_reduce_folds_in_index_order() {
-        // a non-commutative fold: concatenation order proves index order
-        let s = parallel_reduce(10, String::new(), |i| i.to_string(), |acc, x| acc + &x);
-        assert_eq!(s, "0123456789");
     }
 
     #[test]

@@ -20,14 +20,15 @@
 //!   returned as success); ParMetis jobs additionally have the deadline
 //!   wired into `gpm-msg`'s rank timeout so a stuck cluster step fails
 //!   inside the budget rather than at the global default.
-//! - **Resilience ladder** (per job, from `gpm-faults`): the hybrid
-//!   engine runs under a bounded-retry scope with exponential backoff;
-//!   if the device error is fatal and the job armed `fallback`, the
-//!   engine itself degrades GPU→CPU from the last checkpoint; if even
-//!   that fails, the serve layer falls back to the pure-CPU mt-metis
-//!   engine and marks the result degraded. Jobs can carry a
-//!   `GPM_FAULTS`-syntax fault plan to exercise the ladder
-//!   deterministically.
+//! - **Resilience ladder** (per GP-metis job): the GPU circuit breaker
+//!   ([`breaker`]) admits the job first, and while it is open the job is
+//!   served on the mt-metis rung without touching the device. Otherwise
+//!   the hybrid engine runs once: the device retries transient faults
+//!   itself, and a job that armed `fallback` degrades GPU→CPU from the
+//!   engine's last checkpoint when the device dies. A run that still
+//!   fails falls through to the same pure-CPU mt-metis rung, marked
+//!   degraded. Jobs can carry a `GPM_FAULTS`-syntax fault plan to
+//!   exercise the ladder deterministically.
 //! - **Self-healing** (DESIGN.md §14): each job body runs under
 //!   `catch_unwind`, so a panicking job produces a typed
 //!   [`protocol::RejectCode::JobPanicked`] reject instead of a dead
@@ -35,7 +36,7 @@
 //!   replacement ([`supervisor::WorkerPool`]); a job fingerprint that
 //!   kills [`supervisor::QUARANTINE_STRIKES`] workers is quarantined at
 //!   admission ([`supervisor::PoisonList`]); and GPU health is guarded
-//!   by a job-counted circuit breaker (`gp_metis::breaker`) that routes
+//!   by a job-counted circuit breaker ([`breaker`]) that routes
 //!   jobs CPU-only while the device looks sick.
 //! - **Connection hardening**: per-connection idle timeout, mid-frame
 //!   read deadline (slowloris defense), and optional frame/byte budgets;
@@ -45,18 +46,20 @@
 //! Determinism: given the same request bytes, the daemon returns the
 //! same partition bytes as a single-shot `gpartition` run with the same
 //! configuration — regardless of `GPM_THREADS`, steal fuzz, worker
-//! count, or arrival order. Breaker-open jobs are served by the same
-//! mt-metis configuration the fallback rung uses, so even degraded
-//! replies are byte-reproducible. The CI serve-smoke and chaos-smoke
-//! stages assert this byte-for-byte.
+//! count, or arrival order. Breaker-open and failed GP-metis jobs are
+//! served by the mt-metis configuration of an mt-metis job
+//! ([`mtmetis_config`]), so even degraded replies are byte-reproducible.
+//! The CI serve-smoke and chaos-smoke stages assert this byte-for-byte.
 
+pub mod breaker;
 pub mod cache;
 pub mod client;
 pub mod protocol;
 pub mod supervisor;
 
+use breaker::{Admission, BreakerConfig, CircuitBreaker};
 use cache::{CacheEntry, CacheKey, ResultCache};
-use gp_metis::breaker::{BreakerConfig, CircuitBreaker};
+use gp_metis::PartitionError;
 use protocol::{
     Algo, JobReply, JobRequest, JobTelemetry, ProtoError, RejectCode, FT_JOB, FT_JOB_OK, FT_REJECT,
     FT_SHUTDOWN, FT_SHUTDOWN_ACK, FT_STATS, FT_STATS_REPLY,
@@ -69,7 +72,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use supervisor::{lock, wait, PoisonList, WorkerPool, QUARANTINE_STRIKES};
 
-use gpm_faults::{FaultInjector, FaultKind, RetryPolicy};
+use gpm_faults::{FaultInjector, FaultKind};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -875,7 +878,7 @@ fn execute(
             let r = gpm_metis::partition(g, &c);
             Ok((r.part.clone(), base_telemetry(&r)))
         }
-        Algo::MtMetis => Ok(run_mtmetis(req, false, 0)),
+        Algo::MtMetis => Ok(run_mtmetis(req, false)),
         Algo::ParMetis => {
             let mut c = gpm_parmetis::ParMetisConfig::new(k)
                 .with_ranks(req.ranks as usize)
@@ -889,71 +892,76 @@ fn execute(
             match gpm_parmetis::try_partition(g, &c) {
                 Ok(r) => Ok((r.part.clone(), base_telemetry(&r))),
                 // Cluster failure: degrade to the shared-memory engine.
-                Err(_e) => Ok(run_mtmetis(req, true, 0)),
+                Err(_e) => Ok(run_mtmetis(req, true)),
             }
         }
         Algo::GpMetis => {
-            let c = gpmetis_config(req);
-            // The breaker-supervised engine: admission may short-circuit
-            // the job to the CPU while the device is in cooldown, and the
-            // job's fatal/clean outcome feeds the breaker window.
-            let (out, serve_retries) = gp_metis::partition_supervised(
-                g,
-                &c,
-                req.fault_plan.clone(),
-                &sh.breaker,
-                RetryPolicy::from_env(),
-                req.seed,
-            );
-            match out {
-                Ok(r) => {
-                    let mut t = base_telemetry(&r.result);
-                    t.degraded = r.report.degraded;
-                    t.faults_injected = r.report.faults_injected;
-                    t.device_retries = r.report.device_retries;
-                    t.checkpoint_gpu_levels = r.report.checkpoint_gpu_levels as u32;
-                    t.serve_retries = serve_retries;
-                    if let Some(s) = r.report.breaker {
-                        t.breaker_state = s.state.wire();
-                        t.breaker_trips = s.trips;
+            // Breaker-open jobs skip the device. The lock is held only
+            // across `admit`/`record`/`snapshot`, never across a run.
+            let admission = lock(&sh.breaker).admit();
+            let (part, mut t) = if admission == Admission::CpuOnly {
+                run_mtmetis(req, true)
+            } else {
+                let out =
+                    gp_metis::partition_with_plan(g, &gpmetis_config(req), req.fault_plan.clone());
+                // Only device deaths feed the breaker: a run that finished
+                // on the in-run CPU fallback lost its device, as did one
+                // that failed with a fatal device error. Plan and config
+                // errors say nothing about device health.
+                let fatal = match &out {
+                    Ok(r) => r.report.degraded,
+                    Err(PartitionError::Device(e)) => !e.is_transient(),
+                    Err(_) => false,
+                };
+                lock(&sh.breaker).record(fatal);
+                match out {
+                    Ok(r) => {
+                        let mut t = base_telemetry(&r.result);
+                        t.degraded = r.report.degraded;
+                        t.faults_injected = r.report.faults_injected;
+                        t.device_retries = r.report.device_retries;
+                        t.checkpoint_gpu_levels = r.report.checkpoint_gpu_levels as u32;
+                        if let Some(ov) = &r.overlap {
+                            let c = &sh.counters;
+                            c.overlap_jobs.fetch_add(1, Ordering::SeqCst);
+                            c.overlap_makespan_us
+                                .fetch_add((ov.makespan * 1e6) as u64, Ordering::SeqCst);
+                            c.overlap_serialized_us
+                                .fetch_add((ov.serialized * 1e6) as u64, Ordering::SeqCst);
+                        }
+                        (r.result.part, t)
                     }
-                    if let Some(ov) = &r.overlap {
-                        let c = &sh.counters;
-                        c.overlap_jobs.fetch_add(1, Ordering::SeqCst);
-                        c.overlap_makespan_us
-                            .fetch_add((ov.makespan * 1e6) as u64, Ordering::SeqCst);
-                        c.overlap_serialized_us
-                            .fetch_add((ov.serialized * 1e6) as u64, Ordering::SeqCst);
-                    }
-                    Ok((r.result.part, t))
+                    // The engine failed (no fallback armed, or transient
+                    // faults outlasted the device's retries): last rung.
+                    Err(_) => run_mtmetis(req, true),
                 }
-                // Fatal device error with no (or failed) engine fallback:
-                // last rung is the pure-CPU shared-memory engine.
-                Err(_e) => {
-                    let (part, mut t) = run_mtmetis(req, true, serve_retries);
-                    let s = lock(&sh.breaker).snapshot();
-                    t.breaker_state = s.state.wire();
-                    t.breaker_trips = s.trips;
-                    Ok((part, t))
-                }
-            }
+            };
+            let s = lock(&sh.breaker).snapshot();
+            t.breaker_state = s.state.wire();
+            t.breaker_trips = s.trips;
+            Ok((part, t))
         }
     }
 }
 
-/// The serve-layer last rung: pure-CPU mt-metis with the job's seed and
-/// balance. `degraded` marks results that only exist because an earlier
-/// rung failed.
-fn run_mtmetis(req: &JobRequest, degraded: bool, serve_retries: u32) -> (Vec<u32>, JobTelemetry) {
+/// The mt-metis configuration an mt-metis job runs with, which is also
+/// the serve layer's last rung for GP-metis and ParMetis jobs. Shared with
+/// in-process reference runs, like [`gpmetis_config`].
+pub fn mtmetis_config(req: &JobRequest) -> gpm_mtmetis::MtMetisConfig {
     let mut c = gpm_mtmetis::MtMetisConfig::new(req.k as usize)
         .with_threads(req.threads as usize)
         .with_seed(req.seed);
     c.ubfactor = req.ub();
-    let r = gpm_mtmetis::partition(&req.graph, &c);
-    let mut t = base_telemetry(&r);
-    t.degraded = degraded;
-    t.serve_retries = serve_retries;
-    (r.part.clone(), t)
+    c
+}
+
+/// The serve-layer last rung: pure-CPU mt-metis with the job's seed and
+/// balance. `degraded` marks results that only exist because an earlier
+/// rung failed or was skipped.
+fn run_mtmetis(req: &JobRequest, degraded: bool) -> (Vec<u32>, JobTelemetry) {
+    let r = gpm_mtmetis::partition(&req.graph, &mtmetis_config(req));
+    let t = JobTelemetry { degraded, ..base_telemetry(&r) };
+    (r.part, t)
 }
 
 fn base_telemetry(r: &gpm_metis::PartitionResult) -> JobTelemetry {

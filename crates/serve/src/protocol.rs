@@ -276,8 +276,6 @@ pub struct JobTelemetry {
     pub faults_injected: u64,
     pub device_retries: u64,
     pub checkpoint_gpu_levels: u32,
-    /// Whole-job retries the serve-layer ladder performed.
-    pub serve_retries: u32,
     pub edge_cut: u64,
     /// `f64::to_bits` of the balance actually achieved.
     pub imbalance_bits: u64,
@@ -286,7 +284,7 @@ pub struct JobTelemetry {
     /// Wall microseconds the engine ran (0 on a cache hit).
     pub wall_us: u64,
     /// GPU circuit-breaker state after this job (wire encoding of
-    /// `gp_metis::breaker::BreakerState`: 0 closed, 1 open, 2 half-open).
+    /// [`crate::breaker::BreakerState`]: 0 closed, 1 open, 2 half-open).
     /// 0 for jobs that never consult the breaker (non-GpMetis engines).
     pub breaker_state: u32,
     /// Breaker trips observed by the daemon so far.
@@ -560,7 +558,6 @@ pub fn encode_job_ok(rep: &JobReply) -> Vec<u8> {
     put_u64(&mut p, t.faults_injected);
     put_u64(&mut p, t.device_retries);
     put_u32(&mut p, t.checkpoint_gpu_levels);
-    put_u32(&mut p, t.serve_retries);
     put_u64(&mut p, t.edge_cut);
     put_u64(&mut p, t.imbalance_bits);
     put_u64(&mut p, t.modeled_secs_bits);
@@ -580,7 +577,6 @@ pub fn decode_job_ok(payload: &[u8]) -> Result<JobReply, ProtoError> {
     let faults_injected = r.u64()?;
     let device_retries = r.u64()?;
     let checkpoint_gpu_levels = r.u32()?;
-    let serve_retries = r.u32()?;
     let edge_cut = r.u64()?;
     let imbalance_bits = r.u64()?;
     let modeled_secs_bits = r.u64()?;
@@ -597,7 +593,6 @@ pub fn decode_job_ok(payload: &[u8]) -> Result<JobReply, ProtoError> {
             faults_injected,
             device_retries,
             checkpoint_gpu_levels,
-            serve_retries,
             edge_cut,
             imbalance_bits,
             modeled_secs_bits,
@@ -766,7 +761,6 @@ mod tests {
                 faults_injected: 3,
                 device_retries: 2,
                 checkpoint_gpu_levels: 1,
-                serve_retries: 1,
                 edge_cut: 42,
                 imbalance_bits: 1.01f64.to_bits(),
                 modeled_secs_bits: 0.5f64.to_bits(),

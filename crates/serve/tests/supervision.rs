@@ -1,13 +1,13 @@
 //! Integration tests for the self-healing layer: panic isolation and
 //! worker respawn, repeat-offender quarantine, the GPU circuit breaker's
-//! trip/cooldown/probe cycle, connection hardening (idle, slowloris,
-//! frame budget), half-close reply delivery, and queue-full back-pressure
-//! hints.
+//! trip/cooldown/probe cycle and the mt-metis rung behind the engine,
+//! connection hardening (idle, slowloris, frame budget), half-close reply
+//! delivery, and queue-full back-pressure hints.
 
 use gpm_graph::gen::{grid2d, hexmesh};
 use gpm_serve::client::Client;
 use gpm_serve::protocol::{self, JobRequest, RejectCode, Response, FT_JOB, FT_STATS};
-use gpm_serve::{start, ServeConfig, ServerHandle};
+use gpm_serve::{gpmetis_config, mtmetis_config, start, ServeConfig, ServerHandle};
 use std::io::Write;
 
 fn serve_with(tweak: impl FnOnce(&mut ServeConfig)) -> (ServerHandle, String) {
@@ -119,7 +119,7 @@ fn breaker_trips_serves_cpu_only_then_recovers_via_probe() {
     // and therefore the breaker trace — is fully deterministic.
     let (handle, addr) = serve_with(|c| {
         c.workers = 1;
-        c.breaker = gp_metis::breaker::BreakerConfig { threshold: 2, window: 4, cooldown: 2 };
+        c.breaker = gpm_serve::breaker::BreakerConfig { threshold: 2, window: 4, cooldown: 2 };
     });
     let mut c = Client::connect(&addr).unwrap();
 
@@ -140,23 +140,24 @@ fn breaker_trips_serves_cpu_only_then_recovers_via_probe() {
     assert_eq!(get(&stats, "breaker_state"), 1, "open after the second fatal");
 
     // Cooldown: the next two healthy jobs are short-circuited to the
-    // CPU-only engine and marked degraded, byte-identical to a direct
-    // `cpu_only_partition` call with the same mapped configuration.
+    // mt-metis rung and marked degraded, byte-identical to a direct
+    // mt-metis run configured by hand from the request.
     for (tag, seed) in [(3u64, 13u64), (4, 14)] {
         let req = job(tag, seed);
         match c.submit_wait(&req).unwrap() {
             Response::Ok(rep) => {
                 assert!(rep.telemetry.degraded, "breaker-open job is degraded by definition");
                 assert_eq!(rep.telemetry.breaker_state, 1, "telemetry reports the open breaker");
-                let mut cfg = gp_metis::GpMetisConfig::new(4).with_seed(seed);
+                let mut cfg = gpm_mtmetis::MtMetisConfig::new(4)
+                    .with_threads(req.threads as usize)
+                    .with_seed(seed);
                 cfg.ubfactor = req.ub();
-                cfg.cpu_threads = req.threads as usize;
-                cfg.gpu_threshold = 200;
-                let reference = gp_metis::cpu_only_partition(&req.graph, &cfg);
+                let reference = gpm_mtmetis::partition(&req.graph, &cfg);
                 assert_eq!(
-                    rep.part, reference.result.part,
-                    "breaker-open reply must be byte-identical to cpu_only_partition"
+                    rep.part, reference.part,
+                    "breaker-open reply must be byte-identical to the mt-metis reference"
                 );
+                assert_eq!(rep.telemetry.modeled_secs_bits, reference.modeled_seconds().to_bits());
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -164,18 +165,56 @@ fn breaker_trips_serves_cpu_only_then_recovers_via_probe() {
     assert_eq!(get(&c.stats().unwrap(), "breaker_cpu_only"), 2);
 
     // Cooldown exhausted: the next job is the half-open probe; it is
-    // healthy, so the breaker closes and the reply is a normal hybrid
-    // result.
-    match c.submit_wait(&job(5, 15)).unwrap() {
+    // healthy, so the breaker closes and the reply is the plain hybrid
+    // run's, byte for byte.
+    let probe = job(5, 15);
+    match c.submit_wait(&probe).unwrap() {
         Response::Ok(rep) => {
             assert!(!rep.telemetry.degraded, "clean probe runs the full hybrid pipeline");
             assert_eq!(rep.telemetry.breaker_state, 0, "probe success closes the breaker");
+            let reference =
+                gp_metis::partition_with_plan(&probe.graph, &gpmetis_config(&probe), None).unwrap();
+            assert_eq!(rep.part, reference.result.part);
+            assert_eq!(rep.telemetry.edge_cut, reference.result.edge_cut);
+            assert_eq!(
+                rep.telemetry.modeled_secs_bits,
+                reference.result.modeled_seconds().to_bits()
+            );
         }
         other => panic!("unexpected: {other:?}"),
     }
     let stats = c.stats().unwrap();
     assert_eq!(get(&stats, "breaker_state"), 0);
     assert_eq!(get(&stats, "breaker_trips"), 1, "no re-trip");
+    c.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn transient_faults_past_device_retries_fall_through_to_mtmetis_rung() {
+    // Every upload fails transiently, so the device's own retries run out
+    // and, without `fallback`, the engine returns the error. The job is
+    // served once on the mt-metis rung; a transient error is not a device
+    // death, so the breaker stays closed.
+    let (handle, addr) = serve_with(|c| c.workers = 1);
+    let mut c = Client::connect(&addr).unwrap();
+    let mut req = job(1, 21);
+    req.fault_plan_str = "5:gpu.h2d@*=transfer".into();
+    req.fault_plan = Some(gpm_faults::FaultPlan::parse(&req.fault_plan_str).unwrap());
+    match c.submit_wait(&req).unwrap() {
+        Response::Ok(rep) => {
+            assert!(rep.telemetry.degraded, "the mt-metis rung marks the reply degraded");
+            let reference = gpm_mtmetis::partition(&req.graph, &mtmetis_config(&req));
+            assert_eq!(rep.part, reference.part);
+            assert_eq!(rep.telemetry.modeled_secs_bits, reference.modeled_seconds().to_bits());
+            assert_eq!((rep.telemetry.breaker_state, rep.telemetry.breaker_trips), (0, 0));
+        }
+        other => panic!("unexpected: {other:?}"),
+    }
+    let stats = c.stats().unwrap();
+    assert_eq!(get(&stats, "breaker_state"), 0);
+    assert_eq!(get(&stats, "breaker_trips"), 0);
+    assert_eq!(get(&stats, "degraded"), 1);
     c.shutdown().unwrap();
     handle.join();
 }

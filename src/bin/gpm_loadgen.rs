@@ -43,8 +43,8 @@ use gp_metis_repro::graph::gen;
 use gp_metis_repro::graph::stream::read_metis_mmap;
 use gpm_graph::rng::SplitMix64;
 use gpm_serve::client::Client;
-use gpm_serve::gpmetis_config;
 use gpm_serve::protocol::{Algo, JobRequest, Response};
+use gpm_serve::{gpmetis_config, mtmetis_config};
 use gpm_testkit::bench::BenchSuite;
 use std::collections::HashMap;
 use std::io::Write;
@@ -515,7 +515,7 @@ struct ChaosArgs {
     seed: u64,
     /// The daemon's breaker tuning (must match its `--breaker` flag) so
     /// the storm/cooldown/probe script lines up with the real trip points.
-    breaker: gp_metis::breaker::BreakerConfig,
+    breaker: gpm_serve::breaker::BreakerConfig,
     verify: u64,
     shutdown: bool,
 }
@@ -524,7 +524,7 @@ fn parse_chaos_args(args: Vec<String>) -> ChaosArgs {
     let mut out = ChaosArgs {
         addr: String::new(),
         seed: 42,
-        breaker: gp_metis::breaker::BreakerConfig::default(),
+        breaker: gpm_serve::breaker::BreakerConfig::default(),
         verify: 6,
         shutdown: true,
     };
@@ -538,7 +538,7 @@ fn parse_chaos_args(args: Vec<String>) -> ChaosArgs {
             "--breaker" => {
                 out.breaker = it
                     .next()
-                    .and_then(|s| gp_metis::breaker::BreakerConfig::parse(&s))
+                    .and_then(|s| gpm_serve::breaker::BreakerConfig::parse(&s))
                     .unwrap_or_else(|| usage())
             }
             "--verify" => {
@@ -763,9 +763,9 @@ fn run_chaos(args: Vec<String>) -> ExitCode {
                     eprintln!("error: cooldown job {i} not served breaker-open: {rep:?}");
                     return ExitCode::FAILURE;
                 }
-                let reference = gp_metis::cpu_only_partition(&req.graph, &gpmetis_config(&req));
-                if rep.part != reference.result.part {
-                    eprintln!("error: cooldown job {i} diverges from cpu_only_partition");
+                let reference = gpm_mtmetis::partition(&req.graph, &mtmetis_config(&req));
+                if rep.part != reference.part {
+                    eprintln!("error: cooldown job {i} diverges from the mt-metis rung");
                     return ExitCode::FAILURE;
                 }
                 checksum = fold_part(checksum, &rep.part);

@@ -62,7 +62,7 @@ fn main() -> ExitCode {
             "--breaker" => {
                 cfg.breaker = argv
                     .next()
-                    .and_then(|s| gp_metis::breaker::BreakerConfig::parse(&s))
+                    .and_then(|s| gpm_serve::breaker::BreakerConfig::parse(&s))
                     .unwrap_or_else(|| usage())
             }
             _ => usage(),
