@@ -1,7 +1,7 @@
-//! Benchmarks of the incremental boundary/connectivity layer (ISSUE 4):
-//! tracker build cost, per-move update cost, refinement pass cost as a
-//! function of the boundary fraction, and an end-to-end guard. Writes
-//! `BENCH_refine.json`.
+//! Benchmarks of the incremental boundary/connectivity layer: tracker
+//! build cost, first-query cost of the connectivity rows, per-move update
+//! cost, refinement pass cost as a function of the boundary fraction, and
+//! an end-to-end guard. Writes `BENCH_refine.json`.
 //!
 //! The headline comparison is `pass/kway/*`: on the sliver instance the
 //! boundary is <5% of the edges, so a pass costs O(n) visit checks plus
@@ -42,6 +42,26 @@ fn bench_build(b: &mut BenchSuite) {
         let part = random_kpart(g.n(), 8, 11);
         b.run(&format!("build/{label}"), || BoundaryTracker::build(&g, &part));
     }
+}
+
+fn bench_connectivity(b: &mut BenchSuite) {
+    // the first connectivity query of every vertex on a fresh tracker:
+    // with a random 8-way partition nearly every vertex is on the
+    // boundary, so this fills one row per vertex (the tracker build is
+    // untimed; `build/delaunay` measures it)
+    let g = delaunay_like(scaled(20_000), 6);
+    let part = random_kpart(g.n(), 8, 11);
+    b.run_with_setup(
+        "connectivity/all",
+        || BoundaryTracker::build(&g, &part),
+        |bt| {
+            let mut parts = 0usize;
+            for u in 0..g.n() as Vid {
+                parts += bt.connectivity(&g, &part, u).0.len();
+            }
+            parts
+        },
+    );
 }
 
 fn bench_update(b: &mut BenchSuite) {
@@ -88,6 +108,7 @@ fn bench_end_to_end(b: &mut BenchSuite) {
 fn main() {
     let mut b = BenchSuite::new("refine");
     bench_build(&mut b);
+    bench_connectivity(&mut b);
     bench_update(&mut b);
     bench_pass_vs_boundary(&mut b);
     bench_end_to_end(&mut b);

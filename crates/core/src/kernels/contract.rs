@@ -18,6 +18,7 @@
 
 use crate::gpu_graph::{launch_threads, GpuCsr};
 use gpm_gpu_sim::{exclusive_scan_prefix_u32, DBuf, Device, DeviceError, Lane, ScanScratch};
+use std::cell::RefCell;
 
 /// Which adjacency-merge strategy the merge kernel uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +55,22 @@ impl GpuCoarsenScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// Host-side backing for a merge lane's local memory: the gathered row,
+/// and the hash strategy's probe table and insertion-order key list. A
+/// lane runs start to finish on one host worker, so one set per worker,
+/// reused across lanes, coarse vertices and launches, keeps the merge
+/// kernel off the allocator once the longest row has sized it.
+struct MergeScratch {
+    row: Vec<(u32, u32)>,
+    table: Vec<(u32, u32)>,
+    keys: Vec<u32>,
+}
+
+thread_local! {
+    static MERGE_SCRATCH: RefCell<MergeScratch> =
+        const { RefCell::new(MergeScratch { row: Vec::new(), table: Vec::new(), keys: Vec::new() }) };
 }
 
 /// Hand out the slot's buffer, reallocating only when absent or smaller
@@ -153,48 +170,49 @@ pub fn gpu_contract_ws(
 
     // --- phase 2: merge into the temporaries ------------------------------
     dev.launch("gp:contract:merge", nt, |lane| {
-        let (lo, hi) = my_range(lane.tid);
-        let mut cursor = lane.ld(temp, lane.tid) as usize;
-        let mut actual = 0u32;
-        // lane-local scratch (GPU local memory)
-        let mut scratch: Vec<(u32, u32)> = Vec::new();
-        for c in lo..hi {
-            let u = lane.ld(rep_of, c) as usize;
-            let v = lane.ld(mat, u) as usize;
-            let wu = lane.ld(&g.vwgt, u);
-            let wv = if v != u { lane.ld(&g.vwgt, v) } else { 0 };
-            lane.st(&cvwgt, c, wu + wv);
-            // gather both adjacency lists mapped to coarse ids
-            scratch.clear();
-            let gather = |x: usize, lane: &mut Lane, scratch: &mut Vec<(u32, u32)>| {
-                let s = lane.ld(&g.xadj, x) as usize;
-                let e = lane.ld(&g.xadj, x + 1) as usize;
-                for i in s..e {
-                    let nb = lane.ld(&g.adjncy, i);
-                    let w = lane.ld(&g.adjwgt, i);
-                    let cn = lane.ld(cmap, nb as usize);
-                    if cn != c as u32 {
-                        scratch.push((cn, w));
+        MERGE_SCRATCH.with_borrow_mut(|ms| {
+            let MergeScratch { row: scratch, table, keys } = ms;
+            let (lo, hi) = my_range(lane.tid);
+            let mut cursor = lane.ld(temp, lane.tid) as usize;
+            let mut actual = 0u32;
+            for c in lo..hi {
+                let u = lane.ld(rep_of, c) as usize;
+                let v = lane.ld(mat, u) as usize;
+                let wu = lane.ld(&g.vwgt, u);
+                let wv = if v != u { lane.ld(&g.vwgt, v) } else { 0 };
+                lane.st(&cvwgt, c, wu + wv);
+                // gather both adjacency lists mapped to coarse ids
+                scratch.clear();
+                let gather = |x: usize, lane: &mut Lane, scratch: &mut Vec<(u32, u32)>| {
+                    let s = lane.ld(&g.xadj, x) as usize;
+                    let e = lane.ld(&g.xadj, x + 1) as usize;
+                    for i in s..e {
+                        let nb = lane.ld(&g.adjncy, i);
+                        let w = lane.ld(&g.adjwgt, i);
+                        let cn = lane.ld(cmap, nb as usize);
+                        if cn != c as u32 {
+                            scratch.push((cn, w));
+                        }
                     }
+                };
+                gather(u, lane, scratch);
+                if v != u {
+                    gather(v, lane, scratch);
                 }
-            };
-            gather(u, lane, &mut scratch);
-            if v != u {
-                gather(v, lane, &mut scratch);
+                let row_len = match strategy {
+                    MergeStrategy::SortMerge => merge_by_sort(lane, scratch),
+                    MergeStrategy::Hash => merge_by_hash(lane, scratch, table, keys),
+                };
+                lane.st(&deg, c, row_len as u32);
+                for (i, &(cn, w)) in scratch[..row_len].iter().enumerate() {
+                    lane.st(tmp_adjncy, cursor + i, cn);
+                    lane.st(tmp_adjwgt, cursor + i, w);
+                }
+                cursor += row_len;
+                actual += row_len as u32;
             }
-            let row_len = match strategy {
-                MergeStrategy::SortMerge => merge_by_sort(lane, &mut scratch),
-                MergeStrategy::Hash => merge_by_hash(lane, &mut scratch),
-            };
-            lane.st(&deg, c, row_len as u32);
-            for (i, &(cn, w)) in scratch[..row_len].iter().enumerate() {
-                lane.st(tmp_adjncy, cursor + i, cn);
-                lane.st(tmp_adjwgt, cursor + i, w);
-            }
-            cursor += row_len;
-            actual += row_len as u32;
-        }
-        lane.st(temp2, lane.tid, actual);
+            lane.st(temp2, lane.tid, actual);
+        })
     })?;
 
     // --- prefix sums for the final layout ---------------------------------
@@ -267,8 +285,15 @@ fn merge_by_sort(lane: &mut Lane, scratch: &mut [(u32, u32)]) -> usize {
 
 /// Clustered-hash-table strategy: open addressing with linear probing
 /// over a power-of-two table (the paper's chained buckets collapse to
-/// probing for our fixed-size rows); returns the merged length.
-fn merge_by_hash(lane: &mut Lane, scratch: &mut Vec<(u32, u32)>) -> usize {
+/// probing for our fixed-size rows); returns the merged length. `table`
+/// and `keys_in_order` are recycled scratch; their contents on entry are
+/// ignored.
+fn merge_by_hash(
+    lane: &mut Lane,
+    scratch: &mut Vec<(u32, u32)>,
+    table: &mut Vec<(u32, u32)>,
+    keys_in_order: &mut Vec<u32>,
+) -> usize {
     let len = scratch.len();
     if len == 0 {
         return 0;
@@ -276,8 +301,9 @@ fn merge_by_hash(lane: &mut Lane, scratch: &mut Vec<(u32, u32)>) -> usize {
     let cap = (2 * len).next_power_of_two();
     let mask = cap - 1;
     // (key+1, value) — 0 key = empty
-    let mut table: Vec<(u32, u32)> = vec![(0, 0); cap];
-    let mut keys_in_order: Vec<u32> = Vec::with_capacity(len);
+    table.clear();
+    table.resize(cap, (0, 0));
+    keys_in_order.clear();
     let mut probes = 0u64;
     for &(c, w) in scratch.iter() {
         let mut h = (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize
@@ -300,7 +326,7 @@ fn merge_by_hash(lane: &mut Lane, scratch: &mut Vec<(u32, u32)>) -> usize {
     }
     lane.local_mem(2 * probes + len as u64);
     scratch.clear();
-    for &c in &keys_in_order {
+    for &c in keys_in_order.iter() {
         let mut h = (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize
             >> (64 - cap.trailing_zeros()) as usize
             & mask;
@@ -399,11 +425,14 @@ mod tests {
                 vec![(3, 1), (3, 2), (1, 5)],
                 vec![(9, 1), (2, 1), (9, 1), (2, 1), (9, 3)],
             ];
-            for row in rows {
+            // one table and key list for every row, grown and shrunk, as
+            // the merge kernel recycles them
+            let (mut table, mut keys) = (Vec::new(), Vec::new());
+            for row in rows.iter().chain(rows.iter().rev()) {
                 let mut a = row.clone();
                 let mut b = row.clone();
                 let la = merge_by_sort(lane, &mut a);
-                let lb = merge_by_hash(lane, &mut b);
+                let lb = merge_by_hash(lane, &mut b, &mut table, &mut keys);
                 let mut ra: Vec<_> = a[..la].to_vec();
                 let mut rb: Vec<_> = b[..lb].to_vec();
                 ra.sort_unstable();

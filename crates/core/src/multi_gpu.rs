@@ -60,7 +60,6 @@ use gpm_gpu_sim::{
     DBuf, Device, DeviceError, DeviceGroup, EngineId, EventId, LinkConfig, LinkStats,
     OverlapReport, Timeline,
 };
-use gpm_graph::boundary::BoundaryTracker;
 use gpm_graph::builder::GraphBuilder;
 use gpm_graph::csr::{CsrGraph, Vid};
 use gpm_graph::subgraph::{halo_shards, HaloShard};
@@ -123,7 +122,7 @@ pub struct MultiGpuResult {
     /// Total modeled interconnect seconds.
     pub interconnect_seconds: f64,
     /// Cross-partition boundary vertices of the final partition
-    /// ([`BoundaryTracker`] over the whole graph).
+    /// ([`gpm_graph::metrics::boundary_count`] over the whole graph).
     pub boundary_vertices: usize,
     /// Fault/degradation record (the multi-GPU path runs clean: fault
     /// plans and fallback are rejected at two or more devices).
@@ -1009,7 +1008,7 @@ pub fn partition_multi(
         // One device is exactly the single-GPU pipeline: delegate so the
         // partition AND the modeled-time ledger are byte-identical.
         let r = crate::partition(g, &cfg.base)?;
-        let boundary_vertices = BoundaryTracker::build(g, &r.result.part).boundary_count();
+        let boundary_vertices = gpm_graph::metrics::boundary_count(g, &r.result.part);
         return Ok(MultiGpuResult {
             devices: 1,
             gpu_levels: vec![r.gpu.gpu_levels],
@@ -1070,7 +1069,7 @@ pub fn partition_multi(
     let (part, peak_device_bytes) = mg.gather(g.n())?;
 
     // diagnostics (like edge_cut/imbalance below, not a pipeline phase)
-    let tracker = BoundaryTracker::build(g, &part);
+    let boundary_vertices = gpm_graph::metrics::boundary_count(g, &part);
     let edge_cut = gpm_graph::metrics::edge_cut(g, &part);
     let imbalance = gpm_graph::metrics::imbalance(g, &part, k);
     let levels = depth.iter().max().copied().unwrap_or(0) + cpu_levels;
@@ -1093,7 +1092,7 @@ pub fn partition_multi(
         link_stats: ic.links(),
         interconnect_bytes: ic.total_bytes(),
         interconnect_seconds: ic.total_seconds(),
-        boundary_vertices: tracker.boundary_count(),
+        boundary_vertices,
         report: RunReport::default(),
         overlap,
     })

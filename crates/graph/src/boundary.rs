@@ -6,12 +6,13 @@
 //! graph. [`BoundaryTracker`] maintains the Metis-style external-degree
 //! counter per vertex — built once in O(|E|), updated in O(deg(u)) when a
 //! vertex moves — so the boundary test becomes O(1), plus a lazily cached
-//! per-vertex part-connectivity table that replaces the repeated linear
-//! gather over the adjacency. The tracker is a pure work reduction: the
-//! connectivity it reports is bit-for-bit the list the old gather built
-//! (same first-encounter order, which equal-gain tie-breaking depends
-//! on), so refinement decisions — and therefore partitions — are
-//! byte-identical to the sweep implementation for every seed.
+//! per-vertex part-connectivity table ([`ConnRows`]) that replaces the
+//! repeated linear gather over the adjacency. The tracker is a pure work
+//! reduction: the connectivity it reports is bit-for-bit the list the old
+//! gather built (same first-encounter order, which equal-gain
+//! tie-breaking depends on), so refinement decisions — and therefore
+//! partitions — are byte-identical to the sweep implementation for every
+//! seed.
 
 use crate::csr::{CsrGraph, Vid};
 
@@ -28,13 +29,9 @@ pub struct BoundaryTracker {
     ext: Vec<u32>,
     /// Number of vertices with `ext > 0`.
     nbnd: usize,
-    /// Cached connectivity: adjacent partitions of `u` in adjacency
-    /// first-encounter order (the order the old gather produced).
-    cache_parts: Vec<Vec<u32>>,
-    /// Incident edge weight into each entry of `cache_parts`.
-    cache_wgts: Vec<Vec<i64>>,
-    /// Whether the cache row of `u` reflects the current partition.
-    valid: Vec<bool>,
+    /// Cached connectivity rows; a row is stale once `u` or a neighbor
+    /// moves.
+    rows: ConnRows,
     /// Adjacency entries walked since the last [`BoundaryTracker::drain_scanned`] —
     /// the quantity refiners charge to `Work::edges`.
     scanned: u64,
@@ -60,14 +57,7 @@ impl BoundaryTracker {
                 nbnd += 1;
             }
         }
-        BoundaryTracker {
-            ext,
-            nbnd,
-            cache_parts: vec![Vec::new(); n],
-            cache_wgts: vec![Vec::new(); n],
-            valid: vec![false; n],
-            scanned: g.adjncy.len() as u64,
-        }
+        BoundaryTracker { ext, nbnd, rows: ConnRows::new(n), scanned: g.adjncy.len() as u64 }
     }
 
     /// Assemble a tracker from externally computed per-vertex foreign-edge
@@ -79,14 +69,7 @@ impl BoundaryTracker {
         let n = g.n();
         debug_assert_eq!(ext.len(), n);
         let nbnd = ext.iter().filter(|&&e| e > 0).count();
-        BoundaryTracker {
-            ext,
-            nbnd,
-            cache_parts: vec![Vec::new(); n],
-            cache_wgts: vec![Vec::new(); n],
-            valid: vec![false; n],
-            scanned: 0,
-        }
+        BoundaryTracker { ext, nbnd, rows: ConnRows::new(n), scanned: 0 }
     }
 
     /// O(1) boundary test.
@@ -113,25 +96,12 @@ impl BoundaryTracker {
     /// moved since the last query; rebuilt in O(deg(u)) otherwise.
     pub fn connectivity(&mut self, g: &CsrGraph, part: &[u32], u: Vid) -> (&[u32], &[i64]) {
         let ui = u as usize;
-        if !self.valid[ui] {
-            let parts = &mut self.cache_parts[ui];
-            let wgts = &mut self.cache_wgts[ui];
-            parts.clear();
-            wgts.clear();
-            for (v, w) in g.edges(u) {
-                let p = part[v as usize];
-                match parts.iter().position(|&x| x == p) {
-                    Some(i) => wgts[i] += w as i64,
-                    None => {
-                        parts.push(p);
-                        wgts.push(w as i64);
-                    }
-                }
-            }
-            self.valid[ui] = true;
-            self.scanned += g.degree(u) as u64;
+        if !self.rows.is_valid(ui) {
+            let deg = g.degree(u);
+            self.rows.fill(ui, deg, g.edges(u).map(|(v, w)| (part[v as usize], w)));
+            self.scanned += deg as u64;
         }
-        (&self.cache_parts[ui], &self.cache_wgts[ui])
+        self.rows.row(ui)
     }
 
     /// Incident weight of `u` into partition `p` (0 when not adjacent).
@@ -165,10 +135,10 @@ impl BoundaryTracker {
             } else if pv == to {
                 self.bump(vi, -1);
             }
-            self.valid[vi] = false;
+            self.rows.invalidate(vi);
         }
         self.set_ext(ui, ext_u);
-        self.valid[ui] = false;
+        self.rows.invalidate(ui);
         self.scanned += g.degree(u) as u64;
     }
 
@@ -199,6 +169,99 @@ impl BoundaryTracker {
         } else if old > 0 && new == 0 {
             self.nbnd -= 1;
         }
+    }
+}
+
+/// Per-vertex part-connectivity rows in one flat arena.
+///
+/// Row `u` lists the partitions adjacent to `u` in adjacency
+/// first-encounter order, with the incident edge weight into each. The
+/// first [`ConnRows::fill`] of `u` reserves `deg(u)` slots at the end of
+/// the arena (a row never has more entries than the vertex has
+/// neighbors); every later fill rebuilds the row in place. So the store
+/// holds at most one `u32` and one `i64` per adjacency entry of a vertex
+/// that was ever filled, plus two words per vertex, and the arena grows
+/// by doubling: O(log n) allocations instead of two per queried vertex.
+pub struct ConnRows {
+    /// Arena offset of each row; [`ConnRows::UNRESERVED`] until the first
+    /// fill.
+    start: Vec<Vid>,
+    /// Entries in each row, or [`ConnRows::STALE`] when the row does not
+    /// reflect the current partition.
+    len: Vec<u32>,
+    /// Adjacent partitions, row after row.
+    parts: Vec<u32>,
+    /// Incident edge weight into each entry of `parts`.
+    wgts: Vec<i64>,
+}
+
+impl ConnRows {
+    const UNRESERVED: Vid = Vid::MAX;
+    const STALE: u32 = u32::MAX;
+
+    /// `n` stale rows with no arena space reserved.
+    pub fn new(n: usize) -> Self {
+        Self::with_capacity(n, 0)
+    }
+
+    /// `n` stale rows, with arena capacity for `slots` row entries
+    /// allocated up front: a caller that will fill every row passes the
+    /// adjacency length and the arenas are allocated once, at exact size.
+    pub fn with_capacity(n: usize, slots: usize) -> Self {
+        ConnRows {
+            start: vec![Self::UNRESERVED; n],
+            len: vec![Self::STALE; n],
+            parts: Vec::with_capacity(slots),
+            wgts: Vec::with_capacity(slots),
+        }
+    }
+
+    /// Whether row `u` was filled since its last invalidation.
+    #[inline]
+    pub fn is_valid(&self, u: usize) -> bool {
+        self.len[u] != Self::STALE
+    }
+
+    /// Mark row `u` stale; its arena slots stay reserved.
+    #[inline]
+    pub fn invalidate(&mut self, u: usize) {
+        self.len[u] = Self::STALE;
+    }
+
+    /// Rebuild row `u` from its adjacency, given as `(partition, edge
+    /// weight)` pairs in adjacency order; `deg` is the vertex's degree
+    /// (the same on every call), which bounds the row length.
+    pub fn fill(&mut self, u: usize, deg: usize, edges: impl IntoIterator<Item = (u32, u32)>) {
+        if self.start[u] == Self::UNRESERVED {
+            let s = self.parts.len();
+            self.start[u] = Vid::try_from(s).expect("arena offset fits the index type");
+            self.parts.resize(s + deg, 0);
+            self.wgts.resize(s + deg, 0);
+        }
+        let s = self.start[u] as usize;
+        let parts = &mut self.parts[s..s + deg];
+        let wgts = &mut self.wgts[s..s + deg];
+        let mut len = 0usize;
+        for (p, w) in edges {
+            match parts[..len].iter().position(|&x| x == p) {
+                Some(i) => wgts[i] += w as i64,
+                None => {
+                    parts[len] = p;
+                    wgts[len] = w as i64;
+                    len += 1;
+                }
+            }
+        }
+        self.len[u] = len as u32;
+    }
+
+    /// Row `u` as `(parts, weights)`; it must be valid.
+    #[inline]
+    pub fn row(&self, u: usize) -> (&[u32], &[i64]) {
+        debug_assert!(self.is_valid(u), "row {u} read while stale");
+        let s = self.start[u] as usize;
+        let e = s + self.len[u] as usize;
+        (&self.parts[s..e], &self.wgts[s..e])
     }
 }
 

@@ -15,7 +15,7 @@ use gpm_msg::{word_u32, RankCtx, Word};
 /// local graph and `cmap_local` (coarse gid of every local fine vertex).
 /// Convenience wrapper over [`dist_contract_ws`] with a cold, single-use
 /// workspace — the level loop in `try_partition` holds one per rank for
-/// the whole V-cycle instead.
+/// the whole coarsening descent instead.
 pub fn dist_contract(
     ctx: &mut RankCtx,
     lg: &LocalGraph,
@@ -91,11 +91,12 @@ pub fn dist_contract_ws(
     // --- ghost fine cmap -----------------------------------------------------
     let ghosts = lg.ghost_gids();
     let ghost_cmap = fetch_remote(ctx, lg, &ghosts, tag + 4, |gid| cmap_local[lg.lid(gid)]);
+    // ghost reads by position in the sorted ghost list
     let cmap_of = |gid: Vid| -> Vid {
         if lg.is_local(gid) {
             cmap_local[lg.lid(gid)]
         } else {
-            ghost_cmap[&gid]
+            ghost_cmap[ghosts.binary_search(&gid).expect("remote neighbor is a ghost")]
         }
     };
 

@@ -9,6 +9,7 @@
 
 use crate::exchange::{allreduce_sum_vec, fetch_remote};
 use crate::local::LocalGraph;
+use gpm_graph::boundary::ConnRows;
 use gpm_graph::csr::Vid;
 use gpm_graph::metrics::max_part_weight;
 use gpm_msg::{word_u32, RankCtx, Word};
@@ -31,6 +32,7 @@ pub fn dist_project(
         v.dedup();
         v
     };
+    // aligned to `remote`: a ghost's label sits at its position there
     let ghost =
         fetch_remote(ctx, lg_coarse, &remote, tag, |cgid| part_coarse[lg_coarse.lid(cgid)] as Word);
     ctx.work(0, lg_fine.n_local() as u64);
@@ -41,7 +43,7 @@ pub fn dist_project(
             if lg_coarse.is_local(c) {
                 part_coarse[lg_coarse.lid(c)]
             } else {
-                word_u32(ghost[&c])
+                word_u32(ghost[remote.binary_search(&c).expect("remote coarse ids were requested")])
             }
         })
         .collect()
@@ -80,10 +82,10 @@ pub fn dist_refine(
     // (w.r.t. the current pass's ghost snapshot). Maintained across
     // passes: local commits update it in O(deg), and between passes only
     // the edges touching *changed* ghost labels are re-examined, via a
-    // reverse ghost→local-neighbors CSR built once here. cparts/cwgts is
-    // the per-vertex connectivity cache in adjacency first-encounter
-    // order (identical to a fresh gather), invalidated only for vertices
-    // whose neighborhood actually changed.
+    // reverse ghost→local-neighbors CSR built once here. `rows` is the
+    // per-vertex connectivity cache in adjacency first-encounter order
+    // (identical to a fresh gather), invalidated only for vertices whose
+    // neighborhood actually changed.
     let ng = ghost_gids.len();
     let mut gdeg = vec![0u32; n]; // ghost-edge count per local vertex
     let mut rev_xadj = vec![0u32; ng + 1];
@@ -115,21 +117,23 @@ pub fn dist_refine(
     ctx.work(lg.adjncy.len() as u64, 0); // one-time reverse-map build
     let mut ext = vec![0u32; n];
     let mut prev_ghost: Vec<u32> = Vec::new(); // aligned to ghost_gids
-    let mut cparts: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut cwgts: Vec<Vec<i64>> = vec![Vec::new(); n];
-    let mut cvalid = vec![false; n];
+                                               // pass 0 fills every row, so the arenas take the whole adjacency
+    let mut rows = ConnRows::with_capacity(n, lg.adjncy.len());
 
     for pass in 0..max_passes {
         let up = pass % 2 == 0;
         let ptag = tag + 10 + pass as u32 * 10;
-        // refresh ghost partition labels
-        let ghost_part = fetch_remote(ctx, lg, &ghost_gids, ptag, |gid| part[lg.lid(gid)] as Word);
-        let gp_now: Vec<u32> = ghost_gids.iter().map(|g| word_u32(ghost_part[g])).collect();
+        // refresh ghost partition labels, aligned to ghost_gids
+        let gp_now: Vec<u32> =
+            fetch_remote(ctx, lg, &ghost_gids, ptag, |gid| part[lg.lid(gid)] as Word)
+                .into_iter()
+                .map(word_u32)
+                .collect();
         let part_of = |gid: Vid, part: &[u32]| -> u32 {
             if lg.is_local(gid) {
                 part[lg.lid(gid)]
             } else {
-                word_u32(ghost_part[&gid])
+                gp_now[ghost_gids.binary_search(&gid).expect("remote neighbor is a ghost")]
             }
         };
 
@@ -150,7 +154,7 @@ pub fn dist_refine(
                     } else if old == pu && new != pu {
                         ext[u] += 1;
                     }
-                    cvalid[u] = false;
+                    rows.invalidate(u);
                     ghost_touches += 1;
                 }
             }
@@ -165,36 +169,26 @@ pub fn dist_refine(
                 // O(1) interior skip: no foreign neighbor, no candidate
                 continue;
             }
-            if !cvalid[u] {
+            if !rows.is_valid(u) {
                 // gather connectivity (and on pass 0, seed ext) in one
                 // adjacency walk — first-encounter order as always
-                let parts = &mut cparts[u];
-                let wgts = &mut cwgts[u];
-                parts.clear();
-                wgts.clear();
                 let mut e = 0u32;
-                for (v, w) in lg.edges(u) {
+                let edges = lg.edges(u).map(|(v, w)| {
                     let pv = part_of(v, part);
                     if pv != pu {
                         e += 1;
                     }
-                    match parts.iter().position(|&x| x == pv) {
-                        Some(i) => wgts[i] += w as i64,
-                        None => {
-                            parts.push(pv);
-                            wgts.push(w as i64);
-                        }
-                    }
-                }
+                    (pv, w)
+                });
+                rows.fill(u, lg.degree(u), edges);
                 ext[u] = e;
-                cvalid[u] = true;
                 ctx.work(lg.degree(u) as u64, 0);
                 ghost_touches += gdeg[u] as u64;
             }
             if ext[u] == 0 {
                 continue;
             }
-            let (parts, wgts) = (&cparts[u], &cwgts[u]);
+            let (parts, wgts) = rows.row(u);
             let w_own = parts.iter().position(|&x| x == pu).map_or(0, |i| wgts[i]);
             let overweight = pw[pu as usize] > maxw;
             let mut best: Option<(u32, i64)> = None;
@@ -214,9 +208,9 @@ pub fn dist_refine(
                 cands.push((gain, u, q));
             }
         }
-        // ghost reads go through a hash map rather than an array — the
-        // indirection overhead real ParMetis pays for halo data (~3 extra
-        // memory ops per ghost access)
+        // modeled halo indirection: ~3 extra memory ops per ghost access,
+        // what real ParMetis pays for halo data (the host reads ghosts by
+        // position in the sorted ghost list)
         ctx.work(3 * ghost_touches, 0);
         cands.sort_unstable_by_key(|&(g, _, _)| std::cmp::Reverse(g));
 
@@ -250,11 +244,11 @@ pub fn dist_refine(
                     } else if pv == q {
                         ext[vl] -= 1;
                     }
-                    cvalid[vl] = false;
+                    rows.invalidate(vl);
                 }
             }
             ext[u] = e;
-            cvalid[u] = false;
+            rows.invalidate(u);
             ctx.work(lg.degree(u) as u64 + 3 * gdeg[u] as u64, 0);
             moves += 1;
         }

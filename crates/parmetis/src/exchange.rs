@@ -4,18 +4,17 @@
 
 use crate::local::LocalGraph;
 use gpm_msg::{RankCtx, Word};
-use std::collections::HashMap;
 
 /// Fetch `lookup(gid)` for every (remote) gid in `gids` from its owner.
 /// All ranks must call this collectively with the same `tag`.
-/// Returns a gid → value map.
+/// Returns the values in the order of `gids`: `out[i] = lookup(gids[i])`.
 pub fn fetch_remote(
     ctx: &mut RankCtx,
     lg: &LocalGraph,
     gids: &[Word],
     tag: u32,
     lookup: impl Fn(Word) -> Word,
-) -> HashMap<Word, Word> {
+) -> Vec<Word> {
     let p = ctx.ranks;
     // group requested gids by owner
     let mut reqs: Vec<Vec<Word>> = vec![Vec::new(); p];
@@ -24,7 +23,6 @@ pub fn fetch_remote(
         debug_assert_ne!(o, ctx.rank, "fetch_remote called with a local gid {g}");
         reqs[o].push(g);
     }
-    let request_copy: Vec<Vec<Word>> = reqs.clone();
     // request assembly (owner grouping + packing) costs a pass over gids
     ctx.work(0, gids.len() as u64);
     let incoming = ctx.all_to_all(tag, reqs);
@@ -34,13 +32,10 @@ pub fn fetch_remote(
     let replies: Vec<Vec<Word>> =
         incoming.into_iter().map(|req| req.into_iter().map(&lookup).collect()).collect();
     let answered = ctx.all_to_all(tag + 1, replies);
-    let mut out = HashMap::with_capacity(gids.len());
-    for (r, asked) in request_copy.into_iter().enumerate() {
-        for (g, v) in asked.into_iter().zip(answered[r].iter().copied()) {
-            out.insert(g, v);
-        }
-    }
-    out
+    // each owner answered in the order its gids appear in `gids`, so one
+    // cursor per owner walks the replies back into request order
+    let mut cursors: Vec<_> = answered.iter().map(|r| r.iter()).collect();
+    gids.iter().map(|&g| *cursors[lg.owner(g)].next().expect("owner answered every gid")).collect()
 }
 
 /// Share one wire word per rank with everyone (tiny allgather); returns
@@ -88,7 +83,59 @@ mod tests {
             let ghosts = lg.ghost_gids();
             // owner's lookup: value = gid * 3
             let vals = fetch_remote(ctx, &lg, &ghosts, 10, |gid| gid * 3);
-            ghosts.iter().all(|&g| vals[&g] == g * 3)
+            vals.len() == ghosts.len() && ghosts.iter().zip(&vals).all(|(&g, &v)| v == g * 3)
+        });
+        assert!(res.iter().all(|(ok, _)| *ok));
+    }
+
+    #[test]
+    fn fetch_remote_aligns_interleaved_owners() {
+        // every remote gid, requested in an order that alternates owners
+        // on every step (round-robin over the other ranks' blocks, with
+        // repeats), so per-owner grouping must be undone exactly
+        let g = grid2d(9, 7); // 63 vertices over 4 ranks: unequal blocks
+        let p = 4;
+        let res = run_cluster(&ClusterConfig::intra_node(p), |ctx| {
+            let lg = LocalGraph::from_global(&g, p, ctx.rank);
+            let blocks: Vec<Vec<Word>> = (0..p)
+                .filter(|&r| r != ctx.rank)
+                .map(|r| (lg.vtxdist[r]..lg.vtxdist[r + 1]).rev().collect())
+                .collect();
+            let longest = blocks.iter().map(Vec::len).max().unwrap_or(0);
+            let mut gids: Vec<Word> = Vec::new();
+            for i in 0..longest {
+                for b in &blocks {
+                    if let Some(&x) = b.get(i) {
+                        gids.push(x);
+                    }
+                }
+            }
+            let repeats: Vec<Word> = gids.iter().step_by(5).copied().collect();
+            gids.extend(repeats);
+            let vals = fetch_remote(ctx, &lg, &gids, 20, |gid| 1000 + 7 * gid);
+            let want: Vec<Word> = gids.iter().map(|&x| 1000 + 7 * x).collect();
+            (vals == want, gids.len())
+        });
+        for ((ok, asked), _) in &res {
+            assert!(*ok);
+            assert!(*asked > 40, "test did not request most of the graph: {asked}");
+        }
+    }
+
+    #[test]
+    fn fetch_remote_empty_requests() {
+        // all ranks empty, then only some ranks asking: the collective
+        // still completes and an empty request gets an empty answer
+        let g = grid2d(6, 6);
+        let p = 3;
+        let res = run_cluster(&ClusterConfig::intra_node(p), |ctx| {
+            let lg = LocalGraph::from_global(&g, p, ctx.rank);
+            let none = fetch_remote(ctx, &lg, &[], 30, |gid| gid);
+            let gids = if ctx.rank == 1 { Vec::new() } else { lg.ghost_gids() };
+            let vals = fetch_remote(ctx, &lg, &gids, 40, |gid| gid + 1);
+            none.is_empty()
+                && vals.len() == gids.len()
+                && gids.iter().zip(&vals).all(|(&g, &v)| v == g + 1)
         });
         assert!(res.iter().all(|(ok, _)| *ok));
     }

@@ -99,12 +99,14 @@ pub fn try_partition(g: &CsrGraph, cfg: &ParMetisConfig) -> Result<PartitionResu
 
     let results = try_run_cluster(&cfg.comm, |ctx| {
         let mut cur = LocalGraph::from_global(g, cfg.ranks, ctx.rank);
+        let first = cur.first();
         let mut levels: Vec<(LocalGraph, Vec<Vid>)> = Vec::new();
 
         // --- distributed coarsening -----------------------------------
-        // One contraction workspace per rank for the whole V-cycle: the
+        // One contraction workspace per rank for the whole descent: the
         // first (largest) level sizes it high-water, later levels
-        // recycle it allocation-free.
+        // recycle it allocation-free. Its dedup table is keyed by global
+        // coarse id, so it is dropped before uncoarsening.
         let mut ws = CoarsenWorkspace::new();
         for lvl in 0..ccfg.max_levels {
             if cur.n_global() <= cfg.coarsen_to {
@@ -122,6 +124,7 @@ pub fn try_partition(g: &CsrGraph, cfg: &ParMetisConfig) -> Result<PartitionResu
                 break;
             }
         }
+        drop(ws);
 
         // --- initial partitioning --------------------------------------
         let (mut part, init_work) =
@@ -148,7 +151,6 @@ pub fn try_partition(g: &CsrGraph, cfg: &ParMetisConfig) -> Result<PartitionResu
             ctx.phase_end(&format!("uncoarsen:refine:l{lvl}"));
         }
 
-        let first = LocalGraph::from_global(g, cfg.ranks, ctx.rank).first();
         let levels_used = levels.len() + 1;
         (first, part, levels_used)
     })?;

@@ -19,6 +19,7 @@ use gpm_parmetis::dmatch::{dist_matching, DistMatching};
 use gpm_parmetis::exchange::{allgather_word, fetch_remote};
 use gpm_parmetis::local::LocalGraph;
 use gpm_testkit::{check, tk_assert_eq, Source};
+use std::collections::HashMap;
 
 // ===== pre-change reference implementation (verbatim) ===================
 
@@ -76,7 +77,11 @@ fn ref_dist_contract(
     ctx.work(0, 2 * n as u64);
 
     let ghosts = lg.ghost_gids();
-    let ghost_cmap = fetch_remote(ctx, lg, &ghosts, tag + 4, |gid| cmap_local[lg.lid(gid)]);
+    let ghost_cmap: HashMap<u32, u32> = ghosts
+        .iter()
+        .copied()
+        .zip(fetch_remote(ctx, lg, &ghosts, tag + 4, |gid| cmap_local[lg.lid(gid)]))
+        .collect();
     let cmap_of = |gid: u32| -> u32 {
         if lg.is_local(gid) {
             cmap_local[lg.lid(gid)]

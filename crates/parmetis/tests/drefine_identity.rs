@@ -14,6 +14,7 @@ use gpm_parmetis::drefine::dist_refine;
 use gpm_parmetis::exchange::{allreduce_sum_vec, fetch_remote};
 use gpm_parmetis::local::LocalGraph;
 use gpm_testkit::{check, tk_assert_eq, Source};
+use std::collections::HashMap;
 
 /// The pre-change `dist_refine`: full adjacency sweep every pass.
 #[allow(clippy::too_many_arguments)]
@@ -40,7 +41,11 @@ fn ref_dist_refine(
     for pass in 0..max_passes {
         let up = pass % 2 == 0;
         let ptag = tag + 10 + pass as u32 * 10;
-        let ghost_part = fetch_remote(ctx, lg, &ghost_gids, ptag, |gid| part[lg.lid(gid)]);
+        let ghost_part: HashMap<u32, u32> = ghost_gids
+            .iter()
+            .copied()
+            .zip(fetch_remote(ctx, lg, &ghost_gids, ptag, |gid| part[lg.lid(gid)]))
+            .collect();
         let part_of = |gid: u32, part: &[u32]| -> u32 {
             if lg.is_local(gid) {
                 part[lg.lid(gid)]

@@ -77,14 +77,27 @@ impl BenchSuite {
     /// closure's return value is passed through [`black_box`] so the
     /// computation cannot be optimized away.
     pub fn run<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &BenchRecord {
+        self.run_with_setup(name, || (), |_| f())
+    }
+
+    /// [`run`](Self::run) with an untimed `setup` before every run: `f`
+    /// gets the fresh input by reference, and the input is dropped after
+    /// the clock stops — for measuring the first use of a cold structure.
+    pub fn run_with_setup<S, T>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(&mut S) -> T,
+    ) -> &BenchRecord {
         for _ in 0..self.warmup {
-            black_box(f());
+            black_box(f(&mut setup()));
         }
         let iters = self.iters.max(1);
         let mut samples: Vec<u128> = Vec::with_capacity(iters);
         for _ in 0..iters {
+            let mut input = setup();
             let t0 = Instant::now();
-            black_box(f());
+            black_box(f(&mut input));
             samples.push(t0.elapsed().as_nanos());
         }
         samples.sort_unstable();
