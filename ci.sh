@@ -40,6 +40,16 @@ if ! diff -u "$smoke/run1.txt" "$smoke/run2.txt"; then
 fi
 echo "evaluation output is bit-identical across runs"
 
+step "paper tables (regenerate eval_small.txt, byte-for-byte)"
+# The committed tables are the default run (small scale, one run). A
+# change that moves a number regenerates the file and says why.
+env -u GPM_SCALE -u GPM_RUNS ./target/release/evaluation > "$smoke/eval_small.txt" 2> /dev/null
+if ! diff -u eval_small.txt "$smoke/eval_small.txt"; then
+    echo "ERROR: eval_small.txt differs from a fresh evaluation run" >&2
+    exit 1
+fi
+echo "eval_small.txt regenerates byte-identically"
+
 step "fault-injection smoke (gpm-faults: retry, degradation, identity)"
 cargo run --release --offline -q --example degraded_pipeline > "$smoke/degraded.txt"
 grep -q "degraded : " "$smoke/degraded.txt"
@@ -95,27 +105,18 @@ GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke"
     cargo bench --offline -p gpm-bench --bench pool
 ./target/release/validate_bench "$smoke/BENCH_pool.json" "$smoke/BENCH_phases.json"
 
-step "refine-perf smoke (boundary layer: identity + bench JSON)"
-# The identity suites pin every refiner to its verbatim pre-change
-# reference (byte-identical partitions); the golden GPU test additionally
-# asserts the compacted work-list is faster on a sliver boundary.
-cargo test -q --offline -p gpm-metis --test refine_identity
-cargo test -q --offline -p gpm-mtmetis --test prefine_identity
-cargo test -q --offline -p gpm-parmetis --test drefine_identity
-cargo test -q --offline -p gp-metis --test gpu_refine_identity
+step "refine-perf smoke (boundary layer: bench JSON)"
+# The refiner identity suites (refine_identity, prefine_identity,
+# drefine_identity, gpu_refine_identity) ran in the workspace test step.
 GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke" \
     cargo bench --offline -p gpm-bench --bench refine
 ./target/release/validate_bench "$smoke/BENCH_refine.json"
 
-step "coarsen-perf smoke (zero-allocation coarsening: identity + bench JSON)"
-# Each contraction path is pinned byte-identical to its verbatim
-# pre-change reference; the allocation test proves the recycled workspace
-# stays off the allocator on warm V-cycles; the parallel identity suite
-# re-runs under several physical worker counts.
-cargo test -q --offline -p gpm-metis --test contract_identity
-cargo test -q --offline -p gpm-metis --test coarsen_alloc
-cargo test -q --offline -p gpm-parmetis --test dcontract_identity
-cargo test -q --offline -p gp-metis --test gpu_contract_identity
+step "coarsen-perf smoke (parallel contraction identity across workers + bench JSON)"
+# The contraction identity and allocation suites (contract_identity,
+# coarsen_alloc, dcontract_identity, gpu_contract_identity) ran in the
+# workspace test step; the parallel identity suite re-runs here under
+# several physical worker counts.
 for t in 1 4 8; do
     GPM_THREADS=$t cargo test -q --offline -p gpm-mtmetis --test pcontract_identity
 done

@@ -2,8 +2,9 @@
 //! partitioners over the four evaluation graphs and collects the numbers
 //! Tables II/III and Fig. 5 report.
 
-use gpm_graph::csr::CsrGraph;
 use gpm_graph::gen::{PaperGraph, SuiteScale};
+use gpm_metis::PartitionResult;
+use gpm_serve::protocol::JobRequest;
 
 /// One partitioner's numbers on one graph.
 #[derive(Debug, Clone)]
@@ -50,14 +51,12 @@ impl GraphResults {
     }
 }
 
-/// Evaluation parameters (the paper's: k = 64, 3% imbalance, 8 cores /
-/// ranks, minimum of three runs).
+/// Evaluation parameters: the paper's k = 64, minimum of three runs. The
+/// paper's 3% imbalance and 8 cores / ranks are [`JobRequest::new`]'s
+/// defaults, the ones every entry point starts from.
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
-    pub k: usize,
-    pub ubfactor: f64,
-    pub threads: usize,
-    pub ranks: usize,
+    pub k: u32,
     pub runs: usize,
     pub seed: u64,
     pub scale: SuiteScale,
@@ -77,70 +76,51 @@ impl EvalConfig {
             Err(_) => SuiteScale::Small,
         };
         let runs = std::env::var("GPM_RUNS").ok().and_then(|r| r.parse().ok()).unwrap_or(1);
-        EvalConfig { k: 64, ubfactor: 1.03, threads: 8, ranks: 8, runs, seed: 1, scale }
+        EvalConfig { k: 64, runs, seed: 1, scale }
     }
 }
 
-fn min_of<R>(runs: usize, mut f: impl FnMut(u64) -> R, score: impl Fn(&R) -> f64) -> R {
+/// The run of `f` with the least `score` over `cfg.runs` runs, run `i`
+/// (from 1) on seed `cfg.seed * 100 + i`.
+fn min_of<R>(
+    job: &mut JobRequest,
+    cfg: &EvalConfig,
+    f: impl Fn(&JobRequest) -> R,
+    score: impl Fn(&R) -> f64,
+) -> R {
     let mut best: Option<R> = None;
-    for i in 0..runs.max(1) {
-        let r = f(i as u64 + 1);
-        let better = match &best {
-            None => true,
-            Some(b) => score(&r) < score(b),
-        };
-        if better {
+    for i in 1..=cfg.runs.max(1) as u64 {
+        job.seed = cfg.seed * 100 + i;
+        let r = f(job);
+        if best.as_ref().is_none_or(|b| score(&r) < score(b)) {
             best = Some(r);
         }
     }
     best.unwrap()
 }
 
-/// Run all four partitioners on `g` (the paper runs each three times and
-/// keeps the minimum runtime).
-pub fn run_graph(pg: PaperGraph, g: &CsrGraph, cfg: &EvalConfig) -> GraphResults {
-    eprintln!("  [{}] n={} m={} ...", pg.name(), g.n(), g.m());
-    let metis = min_of(
-        cfg.runs,
-        |seed| {
-            let mut c = gpm_metis::MetisConfig::new(cfg.k).with_seed(cfg.seed * 100 + seed);
-            c.ubfactor = cfg.ubfactor;
-            gpm_metis::partition(g, &c)
-        },
-        |r| r.modeled_seconds(),
-    );
+/// Run all four partitioners on `job`'s graph, each configured by the
+/// job's engine mapping (the paper runs each three times and keeps the
+/// minimum runtime).
+pub fn run_graph(pg: PaperGraph, mut job: JobRequest, cfg: &EvalConfig) -> GraphResults {
+    let (n, m) = (job.graph.n(), job.graph.m());
+    eprintln!("  [{}] n={n} m={m} ...", pg.name());
+    let modeled = |r: &PartitionResult| r.modeled_seconds();
+    let metis =
+        min_of(&mut job, cfg, |j| gpm_metis::partition(&j.graph, &j.metis_config()), modeled);
     eprintln!("    Metis     {:>10.4}s cut {}", metis.modeled_seconds(), metis.edge_cut);
-    let par = min_of(
-        cfg.runs,
-        |seed| {
-            let mut c = gpm_parmetis::ParMetisConfig::new(cfg.k)
-                .with_ranks(cfg.ranks)
-                .with_seed(cfg.seed * 100 + seed);
-            c.ubfactor = cfg.ubfactor;
-            gpm_parmetis::partition(g, &c)
-        },
-        |r| r.modeled_seconds(),
-    );
+    let par =
+        min_of(&mut job, cfg, |j| gpm_parmetis::partition(&j.graph, &j.parmetis_config()), modeled);
     eprintln!("    ParMetis  {:>10.4}s cut {}", par.modeled_seconds(), par.edge_cut);
-    let mt = min_of(
-        cfg.runs,
-        |seed| {
-            let mut c = gpm_mtmetis::MtMetisConfig::new(cfg.k)
-                .with_threads(cfg.threads)
-                .with_seed(cfg.seed * 100 + seed);
-            c.ubfactor = cfg.ubfactor;
-            gpm_mtmetis::partition(g, &c)
-        },
-        |r| r.modeled_seconds(),
-    );
+    let mt =
+        min_of(&mut job, cfg, |j| gpm_mtmetis::partition(&j.graph, &j.mtmetis_config()), modeled);
     eprintln!("    mt-metis  {:>10.4}s cut {}", mt.modeled_seconds(), mt.edge_cut);
     let gp = min_of(
-        cfg.runs,
-        |seed| {
-            let mut c = gp_metis::GpMetisConfig::new(cfg.k).with_seed(cfg.seed * 100 + seed);
-            c.ubfactor = cfg.ubfactor;
-            c.cpu_threads = cfg.threads;
-            gp_metis::partition(g, &c).expect("suite graphs fit in device memory")
+        &mut job,
+        cfg,
+        |j| {
+            gp_metis::partition(&j.graph, &j.gpmetis_config())
+                .expect("suite graphs fit in device memory")
         },
         |r| r.result.modeled_seconds(),
     );
@@ -151,7 +131,7 @@ pub fn run_graph(pg: PaperGraph, g: &CsrGraph, cfg: &EvalConfig) -> GraphResults
         gp.gpu.gpu_levels
     );
 
-    let rec = |name: &'static str, r: &gpm_metis::PartitionResult| RunRecord {
+    let rec = |name: &'static str, r: &PartitionResult| RunRecord {
         name,
         edge_cut: r.edge_cut,
         modeled_seconds: r.modeled_seconds(),
@@ -160,8 +140,8 @@ pub fn run_graph(pg: PaperGraph, g: &CsrGraph, cfg: &EvalConfig) -> GraphResults
     };
     GraphResults {
         graph: pg,
-        n: g.n(),
-        m: g.m(),
+        n,
+        m,
         metis: rec("Metis", &metis),
         parmetis: rec("ParMetis", &par),
         mtmetis: rec("mt-metis", &mt),
@@ -171,16 +151,10 @@ pub fn run_graph(pg: PaperGraph, g: &CsrGraph, cfg: &EvalConfig) -> GraphResults
 
 /// Run the whole evaluation suite.
 pub fn run_suite(cfg: &EvalConfig) -> Vec<GraphResults> {
-    eprintln!(
-        "evaluation: k={} ub={} scale={:?} ({} runs each)",
-        cfg.k, cfg.ubfactor, cfg.scale, cfg.runs
-    );
+    eprintln!("evaluation: k={} scale={:?} ({} runs each)", cfg.k, cfg.scale, cfg.runs);
     PaperGraph::ALL
         .iter()
-        .map(|&pg| {
-            let g = pg.generate(cfg.scale, cfg.seed);
-            run_graph(pg, &g, cfg)
-        })
+        .map(|&pg| run_graph(pg, JobRequest::new(pg.generate(cfg.scale, cfg.seed), cfg.k), cfg))
         .collect()
 }
 
@@ -239,26 +213,21 @@ mod tests {
 
     #[test]
     fn eval_config_env_defaults() {
+        // The paper's protocol: k = 64 on the request defaults.
         let c = EvalConfig::from_env();
         assert_eq!(c.k, 64);
-        assert!((c.ubfactor - 1.03).abs() < 1e-12);
-        assert_eq!(c.threads, 8);
+        let job = JobRequest::new(gpm_graph::csr::CsrGraph::empty(), c.k);
+        assert_eq!((job.ub(), job.threads, job.ranks), (1.03, 8, 8));
     }
 
     #[test]
     fn tiny_suite_runs_end_to_end() {
-        let cfg = EvalConfig {
-            k: 8,
-            ubfactor: 1.03,
-            threads: 4,
-            ranks: 4,
-            runs: 1,
-            seed: 3,
-            scale: SuiteScale::Fraction(0.002),
-        };
+        let cfg = EvalConfig { k: 8, runs: 1, seed: 3, scale: SuiteScale::Fraction(0.002) };
         let pg = PaperGraph::Delaunay;
-        let g = pg.generate(cfg.scale, cfg.seed);
-        let r = run_graph(pg, &g, &cfg);
+        let mut job = JobRequest::new(pg.generate(cfg.scale, cfg.seed), cfg.k);
+        job.threads = 4;
+        job.ranks = 4;
+        let r = run_graph(pg, job, &cfg);
         assert!(r.metis.edge_cut > 0);
         assert!(r.speedup(&r.mtmetis) > 0.0);
         assert!(r.cut_ratio(&r.gpmetis) > 0.3 && r.cut_ratio(&r.gpmetis) < 3.0);

@@ -121,22 +121,37 @@ pub fn dist_contract_ws(
         ctx.work(lg.degree(u) as u64, 1);
     }
     let incoming_rows = ctx.all_to_all(tag + 6, row_msgs);
-    // Shipped rows land on the rank that owns their coarse gid, so they
-    // index densely by position (cgid - my_c0) — no hashing in the
-    // assembly hot loop.
-    let mut shipped: Vec<Vec<(Vid, u32)>> = vec![Vec::new(); rep_count as usize];
-    for msgs in incoming_rows {
+    // Shipped rows land on the rank that owns their coarse gid, and each
+    // local coarse vertex receives at most one: the row of its rep's
+    // remote partner. Keep one offset per coarse vertex, indexed densely
+    // by (cgid - my_c0), into the received buffers read back to back
+    // (`base[r]` is where rank r's buffer starts); `usize::MAX` = none.
+    let mut base = Vec::with_capacity(p + 1);
+    base.push(0usize);
+    for msgs in &incoming_rows {
+        base.push(base[base.len() - 1] + msgs.len());
+    }
+    let mut shipped = vec![usize::MAX; rep_count as usize];
+    for (r, msgs) in incoming_rows.iter().enumerate() {
         let mut i = 0usize;
         while i < msgs.len() {
-            let cgid = msgs[i];
-            let deg = msgs[i + 1] as usize;
-            let row = &mut shipped[(cgid - my_c0) as usize];
-            for j in 0..deg {
-                row.push((msgs[i + 2 + 2 * j], word_u32(msgs[i + 3 + 2 * j])));
-            }
-            i += 2 + 2 * deg;
+            let at = &mut shipped[(msgs[i] - my_c0) as usize];
+            debug_assert_eq!(*at, usize::MAX, "one shipped row per coarse vertex");
+            *at = base[r] + i;
+            i += 2 + 2 * msgs[i + 1] as usize;
         }
     }
+    // The (coarse neighbor, weight) words of coarse vertex `c`'s shipped
+    // row, empty when none was shipped.
+    let shipped_row = |c: Vid| -> &[Word] {
+        let at = shipped[(c - my_c0) as usize];
+        if at == usize::MAX {
+            return &[];
+        }
+        let r = base.partition_point(|&b| b <= at) - 1;
+        let (msgs, i) = (&incoming_rows[r], at - base[r]);
+        &msgs[i + 2..i + 2 + 2 * msgs[i + 1] as usize]
+    };
 
     // --- build coarse rows ---------------------------------------------------
     let nc_local = rep_count as usize;
@@ -174,8 +189,8 @@ pub fn dist_contract_ws(
                     count(cmap_of(v), slot);
                 }
             }
-            for &(cn, _) in &shipped[(c - my_c0) as usize] {
-                count(cn, slot);
+            for e in shipped_row(c).chunks_exact(2) {
+                count(e[0], slot);
             }
             xadj[ci + 1] = deg;
             ci += 1;
@@ -236,12 +251,12 @@ pub fn dist_contract_ws(
             }
             ctx.work(lg.degree(pl) as u64, 0);
         }
-        let row = std::mem::take(&mut shipped[(c - my_c0) as usize]);
+        let row = shipped_row(c);
         if !row.is_empty() {
-            for &(cn, w) in &row {
-                emit(cn, w, &mut adjncy, &mut adjwgt, slot);
+            for e in row.chunks_exact(2) {
+                emit(e[0], word_u32(e[1]), &mut adjncy, &mut adjwgt, slot);
             }
-            ctx.work(row.len() as u64, 0);
+            ctx.work(row.len() as u64 / 2, 0);
         }
         debug_assert_eq!(cursor, xadj[ci + 1], "count pass disagrees with scatter");
         ci += 1;

@@ -45,11 +45,13 @@
 //!
 //! Determinism: given the same request bytes, the daemon returns the
 //! same partition bytes as a single-shot `gpartition` run with the same
-//! configuration — regardless of `GPM_THREADS`, steal fuzz, worker
-//! count, or arrival order. Breaker-open and failed GP-metis jobs are
-//! served by the mt-metis configuration of an mt-metis job
-//! ([`mtmetis_config`]), so even degraded replies are byte-reproducible.
-//! The CI serve-smoke and chaos-smoke stages assert this byte-for-byte.
+//! flags — regardless of `GPM_THREADS`, steal fuzz, worker count, or
+//! arrival order. Both build a [`JobRequest`] and configure the engines
+//! through its methods ([`JobRequest::gpmetis_config`] and siblings).
+//! Breaker-open and failed GP-metis jobs are served by the mt-metis
+//! configuration of an mt-metis job ([`JobRequest::mtmetis_config`]), so
+//! even degraded replies are byte-reproducible. The CI serve-smoke and
+//! chaos-smoke stages assert this byte-for-byte.
 
 pub mod breaker;
 pub mod cache;
@@ -832,25 +834,12 @@ fn reject_deadline(
     );
 }
 
-/// The hybrid-engine configuration a GP-metis job runs with. Shared with
-/// in-process reference runs, which must map a request identically to
-/// byte-diff the daemon's answers.
-pub fn gpmetis_config(req: &JobRequest) -> gp_metis::GpMetisConfig {
-    let mut c = gp_metis::GpMetisConfig::new(req.k as usize).with_seed(req.seed);
-    c.ubfactor = req.ub();
-    c.cpu_threads = req.threads as usize;
-    c.fallback = req.fallback;
-    if req.gpu_threshold > 0 {
-        c.gpu_threshold = req.gpu_threshold as usize;
-    }
-    c
-}
-
 /// Run one job through the engine ladder. Returns the partition and
 /// telemetry, or a terminal error message after every rung failed.
 ///
-/// The configuration mapping mirrors `gpartition` exactly — that is what
-/// makes daemon responses byte-identical to single-shot runs.
+/// Each engine is configured by the request's own mapping, the one
+/// `gpartition` uses — that is what makes daemon responses byte-identical
+/// to single-shot runs.
 ///
 /// Panics when the job carries a `serve.job=panic` fault: this is the
 /// chaos harness's way of exercising the worker's panic isolation, and
@@ -869,21 +858,14 @@ fn execute(
         }
     }
     let g = &req.graph;
-    let k = req.k as usize;
-    let ub = req.ub();
     match req.algo {
         Algo::Metis => {
-            let mut c = gpm_metis::MetisConfig::new(k).with_seed(req.seed);
-            c.ubfactor = ub;
-            let r = gpm_metis::partition(g, &c);
+            let r = gpm_metis::partition(g, &req.metis_config());
             Ok((r.part.clone(), base_telemetry(&r)))
         }
         Algo::MtMetis => Ok(run_mtmetis(req, false)),
         Algo::ParMetis => {
-            let mut c = gpm_parmetis::ParMetisConfig::new(k)
-                .with_ranks(req.ranks as usize)
-                .with_seed(req.seed);
-            c.ubfactor = ub;
+            let mut c = req.parmetis_config();
             // Wire the job deadline into the cluster timeout so a stuck
             // rank fails inside the budget.
             if let Some(left) = budget {
@@ -903,7 +885,7 @@ fn execute(
                 run_mtmetis(req, true)
             } else {
                 let out =
-                    gp_metis::partition_with_plan(g, &gpmetis_config(req), req.fault_plan.clone());
+                    gp_metis::partition_with_plan(g, &req.gpmetis_config(), req.fault_plan.clone());
                 // Only device deaths feed the breaker: a run that finished
                 // on the in-run CPU fallback lost its device, as did one
                 // that failed with a fatal device error. Plan and config
@@ -944,22 +926,11 @@ fn execute(
     }
 }
 
-/// The mt-metis configuration an mt-metis job runs with, which is also
-/// the serve layer's last rung for GP-metis and ParMetis jobs. Shared with
-/// in-process reference runs, like [`gpmetis_config`].
-pub fn mtmetis_config(req: &JobRequest) -> gpm_mtmetis::MtMetisConfig {
-    let mut c = gpm_mtmetis::MtMetisConfig::new(req.k as usize)
-        .with_threads(req.threads as usize)
-        .with_seed(req.seed);
-    c.ubfactor = req.ub();
-    c
-}
-
 /// The serve-layer last rung: pure-CPU mt-metis with the job's seed and
 /// balance. `degraded` marks results that only exist because an earlier
 /// rung failed or was skipped.
 fn run_mtmetis(req: &JobRequest, degraded: bool) -> (Vec<u32>, JobTelemetry) {
-    let r = gpm_mtmetis::partition(&req.graph, &mtmetis_config(req));
+    let r = gpm_mtmetis::partition(&req.graph, &req.mtmetis_config());
     let t = JobTelemetry { degraded, ..base_telemetry(&r) };
     (r.part, t)
 }

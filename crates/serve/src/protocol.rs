@@ -180,7 +180,8 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// A job with `gpartition`'s defaults for everything but the graph.
+    /// A job with the defaults every entry point starts from: the paper's
+    /// protocol (ub 1.03, 8 threads, 8 ranks) on the hybrid engine, seed 1.
     pub fn new(graph: CsrGraph, k: u32) -> JobRequest {
         JobRequest {
             tag: 0,
@@ -202,6 +203,67 @@ impl JobRequest {
     /// Balance tolerance as a float.
     pub fn ub(&self) -> f64 {
         f64::from_bits(self.ub_bits)
+    }
+
+    /// Check the engine options against the domain every engine accepts:
+    /// ub finite in [1, 10], threads and ranks in [1, 4096], and
+    /// 1 ≤ k ≤ n. [`decode_job`] and `gpartition` both call it; the checks
+    /// that guard untrusted wire bytes (CSR structure, zero weights) stay
+    /// in [`decode_job`].
+    pub fn validate(&self) -> Result<(), ProtoError> {
+        let ub = self.ub();
+        if !(ub.is_finite() && (1.0..=10.0).contains(&ub)) {
+            return Err(ProtoError::BadField(format!("ub {ub} outside [1, 10]")));
+        }
+        for (name, v) in [("threads", self.threads), ("ranks", self.ranks)] {
+            if !(1..=4096).contains(&v) {
+                return Err(ProtoError::BadField(format!("{name} {v} outside [1, 4096]")));
+            }
+        }
+        let n = self.graph.n();
+        if self.k < 1 || self.k as usize > n {
+            return Err(ProtoError::BadField(format!("k {} outside [1, n = {n}]", self.k)));
+        }
+        Ok(())
+    }
+
+    /// The serial Metis configuration this job runs with.
+    pub fn metis_config(&self) -> gpm_metis::MetisConfig {
+        let mut c = gpm_metis::MetisConfig::new(self.k as usize).with_seed(self.seed);
+        c.ubfactor = self.ub();
+        c
+    }
+
+    /// The mt-metis configuration this job runs with. It is also the
+    /// daemon's last rung for GP-metis and ParMetis jobs.
+    pub fn mtmetis_config(&self) -> gpm_mtmetis::MtMetisConfig {
+        let mut c = gpm_mtmetis::MtMetisConfig::new(self.k as usize)
+            .with_threads(self.threads as usize)
+            .with_seed(self.seed);
+        c.ubfactor = self.ub();
+        c
+    }
+
+    /// The ParMetis configuration this job runs with.
+    pub fn parmetis_config(&self) -> gpm_parmetis::ParMetisConfig {
+        let mut c = gpm_parmetis::ParMetisConfig::new(self.k as usize)
+            .with_ranks(self.ranks as usize)
+            .with_seed(self.seed);
+        c.ubfactor = self.ub();
+        c
+    }
+
+    /// The hybrid-engine configuration this job runs with. A
+    /// `gpu_threshold` of 0 keeps the engine's default switchover.
+    pub fn gpmetis_config(&self) -> gp_metis::GpMetisConfig {
+        let mut c = gp_metis::GpMetisConfig::new(self.k as usize).with_seed(self.seed);
+        c.ubfactor = self.ub();
+        c.cpu_threads = self.threads as usize;
+        c.fallback = self.fallback;
+        if self.gpu_threshold > 0 {
+            c.gpu_threshold = self.gpu_threshold as usize;
+        }
+        c
     }
 }
 
@@ -483,8 +545,8 @@ pub fn encode_job(req: &JobRequest) -> Vec<u8> {
 }
 
 /// Decode and fully validate a [`JobRequest`] payload. The returned job's
-/// graph passed CSR validation; k, ub, threads and ranks are in domain;
-/// any fault plan parsed.
+/// graph passed CSR validation and has no zero weight; its options passed
+/// [`JobRequest::validate`]; any fault plan parsed.
 pub fn decode_job(payload: &[u8]) -> Result<JobRequest, ProtoError> {
     let mut r = Rd { b: payload, pos: 0 };
     let tag = r.u64()?;
@@ -508,16 +570,6 @@ pub fn decode_job(payload: &[u8]) -> Result<JobRequest, ProtoError> {
     let vwgt = r.vec_u32()?;
     r.finish()?;
 
-    let ub = f64::from_bits(ub_bits);
-    if !(ub.is_finite() && (1.0..=10.0).contains(&ub)) {
-        return Err(ProtoError::BadField(format!("ub {ub} outside [1, 10]")));
-    }
-    if !(1..=4096).contains(&threads) {
-        return Err(ProtoError::BadField(format!("threads {threads} outside [1, 4096]")));
-    }
-    if !(1..=4096).contains(&ranks) {
-        return Err(ProtoError::BadField(format!("ranks {ranks} outside [1, 4096]")));
-    }
     let fault_plan = if fault_plan_str.is_empty() {
         None
     } else {
@@ -528,10 +580,7 @@ pub fn decode_job(payload: &[u8]) -> Result<JobRequest, ProtoError> {
     if graph.vwgt.contains(&0) || graph.adjwgt.contains(&0) {
         return Err(ProtoError::BadGraph("zero vertex or edge weight".into()));
     }
-    if k < 1 || k as usize > graph.n() {
-        return Err(ProtoError::BadField(format!("k {k} outside [1, n = {}]", graph.n())));
-    }
-    Ok(JobRequest {
+    let req = JobRequest {
         tag,
         k,
         ub_bits,
@@ -545,7 +594,9 @@ pub fn decode_job(payload: &[u8]) -> Result<JobRequest, ProtoError> {
         fault_plan,
         fault_plan_str,
         graph,
-    })
+    };
+    req.validate()?;
+    Ok(req)
 }
 
 /// Encode a [`JobReply`] payload.
@@ -837,18 +888,48 @@ mod tests {
 
     #[test]
     fn domain_checks_fire() {
+        // Each option at and just past each edge of its domain, through
+        // both `validate` and the wire; the error names the field.
+        type Edit = fn(&mut JobRequest);
+        let cases: [(&str, Edit, bool); 16] = [
+            ("threads", |r| r.threads = 0, false),
+            ("threads", |r| r.threads = 1, true),
+            ("threads", |r| r.threads = 4096, true),
+            ("threads", |r| r.threads = 4097, false),
+            ("ranks", |r| r.ranks = 0, false),
+            ("ranks", |r| r.ranks = 1, true),
+            ("ranks", |r| r.ranks = 4096, true),
+            ("ranks", |r| r.ranks = 4097, false),
+            ("ub", |r| r.ub_bits = 0.5f64.to_bits(), false),
+            ("ub", |r| r.ub_bits = 1.0f64.to_bits(), true),
+            ("ub", |r| r.ub_bits = 10.0f64.to_bits(), true),
+            ("ub", |r| r.ub_bits = 10.5f64.to_bits(), false),
+            ("ub", |r| r.ub_bits = f64::INFINITY.to_bits(), false),
+            ("ub", |r| r.ub_bits = f64::NAN.to_bits(), false),
+            ("k", |r| r.k = 0, false),
+            ("k", |r| r.k = 37, false), // n = 36
+        ];
+        for (field, edit, ok) in cases {
+            let mut req = sample_job();
+            edit(&mut req);
+            let checks = [req.validate().map(|_| ()), decode_job(&encode_job(&req)).map(|_| ())];
+            for out in checks {
+                match out {
+                    Ok(()) => assert!(ok, "{field}: {req:?} must be rejected"),
+                    Err(ProtoError::BadField(msg)) => {
+                        assert!(!ok && msg.starts_with(field), "{field}: {msg}")
+                    }
+                    Err(e) => panic!("{field}: wanted BadField, got {e:?}"),
+                }
+            }
+        }
         let mut req = sample_job();
-        req.k = 0;
-        assert!(decode_job(&encode_job(&req)).is_err());
-        let mut req = sample_job();
-        req.k = 10_000; // > n
-        assert!(decode_job(&encode_job(&req)).is_err());
-        let mut req = sample_job();
-        req.ub_bits = f64::NAN.to_bits();
-        assert!(decode_job(&encode_job(&req)).is_err());
+        req.k = 36; // k = n is in domain
+        assert!(req.validate().is_ok() && decode_job(&encode_job(&req)).is_ok());
+        // Wire-only checks: the fault plan and the CSR structure.
         let mut req = sample_job();
         req.fault_plan_str = "not-a-plan".into();
-        assert!(decode_job(&encode_job(&req)).is_err());
+        assert!(matches!(decode_job(&encode_job(&req)), Err(ProtoError::BadFaultPlan(_))));
         let mut req = sample_job();
         req.graph.adjncy[0] = 9999; // out-of-range neighbor
         assert!(matches!(decode_job(&encode_job(&req)), Err(ProtoError::BadGraph(_))));

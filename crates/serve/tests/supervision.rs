@@ -7,7 +7,7 @@
 use gpm_graph::gen::{grid2d, hexmesh};
 use gpm_serve::client::Client;
 use gpm_serve::protocol::{self, JobRequest, RejectCode, Response, FT_JOB, FT_STATS};
-use gpm_serve::{gpmetis_config, mtmetis_config, start, ServeConfig, ServerHandle};
+use gpm_serve::{start, ServeConfig, ServerHandle};
 use std::io::Write;
 
 fn serve_with(tweak: impl FnOnce(&mut ServeConfig)) -> (ServerHandle, String) {
@@ -173,7 +173,7 @@ fn breaker_trips_serves_cpu_only_then_recovers_via_probe() {
             assert!(!rep.telemetry.degraded, "clean probe runs the full hybrid pipeline");
             assert_eq!(rep.telemetry.breaker_state, 0, "probe success closes the breaker");
             let reference =
-                gp_metis::partition_with_plan(&probe.graph, &gpmetis_config(&probe), None).unwrap();
+                gp_metis::partition_with_plan(&probe.graph, &probe.gpmetis_config(), None).unwrap();
             assert_eq!(rep.part, reference.result.part);
             assert_eq!(rep.telemetry.edge_cut, reference.result.edge_cut);
             assert_eq!(
@@ -204,7 +204,7 @@ fn transient_faults_past_device_retries_fall_through_to_mtmetis_rung() {
     match c.submit_wait(&req).unwrap() {
         Response::Ok(rep) => {
             assert!(rep.telemetry.degraded, "the mt-metis rung marks the reply degraded");
-            let reference = gpm_mtmetis::partition(&req.graph, &mtmetis_config(&req));
+            let reference = gpm_mtmetis::partition(&req.graph, &req.mtmetis_config());
             assert_eq!(rep.part, reference.part);
             assert_eq!(rep.telemetry.modeled_secs_bits, reference.modeled_seconds().to_bits());
             assert_eq!((rep.telemetry.breaker_state, rep.telemetry.breaker_trips), (0, 0));

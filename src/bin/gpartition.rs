@@ -39,22 +39,33 @@
 //! `--algo`, and `--interconnect` is rejected without `--devices`, rather
 //! than silently ignored.
 //!
+//! Engine flags: `--seed --ub --algo --fallback --gpu-threshold --threads
+//! --ranks` are read by the parser `gpm-loadgen submit` shares
+//! ([`gp_metis_repro::cli`]) into the same job request the daemon decodes,
+//! and the engines are configured through that request's one mapping. The
+//! request is validated before any engine runs: `--ub` must be finite in
+//! [1, 10], `--threads` and `--ranks` in [1, 4096], and `k` at most the
+//! vertex count. `--gpu-threshold` takes a switchover of at least 1 (0 is
+//! the wire's "engine default"; leave the flag out for that).
+//!
 //! Fault injection: set `GPM_FAULTS=<seed>:<spec>[,<spec>...]` to run the
 //! hybrid engine under a deterministic fault schedule (see `gpm-faults`),
 //! e.g. `GPM_FAULTS="7:gpu.launch@8=lost"`. With `--fallback`, an
 //! unrecoverable device failure degrades to the CPU engine from the last
 //! checkpointed level instead of failing the run.
 
+use gp_metis_repro::cli::{engine_flag, FlagError};
 use gp_metis_repro::gpmetis;
 use gp_metis_repro::gpmetis::multi_gpu::{partition_multi, MultiGpuConfig};
 use gp_metis_repro::gpu::LinkConfig;
+use gp_metis_repro::graph::csr::CsrGraph;
 use gp_metis_repro::graph::io;
 use gp_metis_repro::graph::metrics::{comm_volume, edge_cut, imbalance};
 use gp_metis_repro::graph::packed::PackedCsr;
 use gp_metis_repro::graph::stream::read_metis_mmap;
+use gp_metis_repro::serve::protocol::{Algo, JobRequest};
 use gp_metis_repro::{metis, mtmetis, parmetis};
 use gpm_testkit::alloc::CountingAlloc;
-use std::io::Write;
 use std::process::ExitCode;
 
 /// Counting allocator so every run can report its peak heap use — the
@@ -64,16 +75,10 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 struct Args {
     input: String,
-    k: usize,
-    algo: String,
-    ub: f64,
-    seed: u64,
-    threads: usize,
-    ranks: usize,
+    /// The engine options; the graph is moved in once it is loaded.
+    req: JobRequest,
     output: Option<String>,
     quiet: bool,
-    gpu_threshold: Option<usize>,
-    fallback: bool,
     mmap: bool,
     compressed: bool,
     eval: Option<String>,
@@ -93,22 +98,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, FlagError> {
     let mut argv = std::env::args().skip(1);
     let input = argv.next().unwrap_or_else(|| usage());
-    let k: usize = argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-    let mut args = Args {
+    let k = argv.next().and_then(|s| s.parse().ok()).filter(|&k| k >= 1).unwrap_or_else(|| usage());
+    let mut a = Args {
         input,
-        k,
-        algo: "gpmetis".into(),
-        ub: 1.03,
-        seed: 1,
-        threads: 8,
-        ranks: 8,
+        req: JobRequest::new(CsrGraph::empty(), k),
         output: None,
         quiet: false,
-        gpu_threshold: None,
-        fallback: false,
         mmap: false,
         compressed: false,
         eval: None,
@@ -118,40 +116,25 @@ fn parse_args() -> Args {
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--timeline" => args.timeline = true,
-            "--algo" => args.algo = argv.next().unwrap_or_else(|| usage()),
-            "--ub" => args.ub = argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()),
-            "--seed" => {
-                args.seed = argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                args.threads = argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--ranks" => {
-                args.ranks = argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--output" => args.output = Some(argv.next().unwrap_or_else(|| usage())),
-            "--gpu-threshold" => {
-                args.gpu_threshold =
-                    Some(argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--fallback" => args.fallback = true,
-            "--quiet" => args.quiet = true,
-            "--mmap" => args.mmap = true,
-            "--compressed" => args.compressed = true,
-            "--eval" => args.eval = Some(argv.next().unwrap_or_else(|| usage())),
+            "--timeline" => a.timeline = true,
+            "--output" => a.output = Some(argv.next().unwrap_or_else(|| usage())),
+            "--quiet" => a.quiet = true,
+            "--mmap" => a.mmap = true,
+            "--compressed" => a.compressed = true,
+            "--eval" => a.eval = Some(argv.next().unwrap_or_else(|| usage())),
             "--devices" => {
-                args.devices =
+                a.devices =
                     Some(argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
             }
-            "--interconnect" => args.interconnect = Some(argv.next().unwrap_or_else(|| usage())),
-            _ => usage(),
+            "--interconnect" => a.interconnect = Some(argv.next().unwrap_or_else(|| usage())),
+            other => {
+                if !engine_flag(&mut a.req, other, &mut argv)? {
+                    usage()
+                }
+            }
         }
     }
-    if args.k < 1 {
-        usage();
-    }
-    args
+    Ok(a)
 }
 
 /// Flags only the gpmetis engine reads are rejected with any other
@@ -161,12 +144,12 @@ fn check_engine_flags(a: &Args) -> Result<(), String> {
     let engine_flags = [
         ("--devices", a.devices.is_some()),
         ("--interconnect", a.interconnect.is_some()),
-        ("--fallback", a.fallback),
-        ("--gpu-threshold", a.gpu_threshold.is_some()),
+        ("--fallback", a.req.fallback),
+        ("--gpu-threshold", a.req.gpu_threshold != 0),
     ];
     let set: Vec<&str> = engine_flags.iter().filter(|f| f.1).map(|f| f.0).collect();
-    if a.algo != "gpmetis" && !set.is_empty() {
-        return Err(format!("--algo {} does not take {}", a.algo, set.join(", ")));
+    if a.req.algo != Algo::GpMetis && !set.is_empty() {
+        return Err(format!("--algo {} does not take {}", a.req.algo.name(), set.join(", ")));
     }
     if a.interconnect.is_some() && a.devices.is_none() {
         return Err("--interconnect needs --devices".into());
@@ -175,43 +158,28 @@ fn check_engine_flags(a: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let a = parse_args();
-    if let Err(e) = check_engine_flags(&a) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+fn run() -> Result<(), String> {
+    let mut a = parse_args().map_err(|e| e.to_string())?;
+    check_engine_flags(&a)?;
     let mut g = if a.input.ends_with(".gr") {
-        let f = match std::fs::File::open(&a.input) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: cannot open {}: {e}", a.input);
-                return ExitCode::FAILURE;
-            }
-        };
-        match io::read_dimacs9(std::io::BufReader::new(f)) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let f =
+            std::fs::File::open(&a.input).map_err(|e| format!("cannot open {}: {e}", a.input))?;
+        io::read_dimacs9(std::io::BufReader::new(f))
     } else if a.mmap {
-        match read_metis_mmap(&a.input) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        read_metis_mmap(&a.input)
     } else {
-        match io::read_metis_file(&a.input) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
+        io::read_metis_file(&a.input)
+    }
+    .map_err(|e| e.to_string())?;
     if !a.quiet {
         eprintln!(
             "read {:?} via {} loader (load peak heap {:.1} MiB)",
@@ -237,142 +205,98 @@ fn main() -> ExitCode {
         g = packed.to_csr();
     }
 
+    let k = a.req.k as usize;
     if let Some(part_path) = &a.eval {
         // score an existing partition instead of computing one
-        let f = match std::fs::File::open(part_path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: cannot open {part_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let part = match io::read_partition_checked(std::io::BufReader::new(f), Some(a.k as u32)) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {part_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let f =
+            std::fs::File::open(part_path).map_err(|e| format!("cannot open {part_path}: {e}"))?;
+        let part = io::read_partition_checked(std::io::BufReader::new(f), Some(a.req.k))
+            .map_err(|e| format!("{part_path}: {e}"))?;
         if part.len() != g.n() {
-            eprintln!("error: {part_path}: {} labels for {} vertices", part.len(), g.n());
-            return ExitCode::FAILURE;
+            return Err(format!("{part_path}: {} labels for {} vertices", part.len(), g.n()));
         }
-        println!("{} {} {}", a.k, edge_cut(&g, &part), imbalance(&g, &part, a.k));
-        return ExitCode::SUCCESS;
+        println!("{k} {} {}", edge_cut(&g, &part), imbalance(&g, &part, k));
+        return Ok(());
     }
 
-    let (part, modeled, name, overlap) = match a.algo.as_str() {
-        "metis" => {
-            let mut c = metis::MetisConfig::new(a.k).with_seed(a.seed);
-            c.ubfactor = a.ub;
-            let r = metis::partition(&g, &c);
+    a.req.graph = g;
+    a.req.validate().map_err(|e| e.to_string())?;
+    let (req, g) = (&a.req, &a.req.graph);
+    let (part, modeled, name, overlap) = match req.algo {
+        Algo::Metis => {
+            let r = metis::partition(g, &req.metis_config());
             (r.part, r.ledger.total(), "Metis (serial)", None)
         }
-        "mtmetis" => {
-            let mut c = mtmetis::MtMetisConfig::new(a.k).with_threads(a.threads).with_seed(a.seed);
-            c.ubfactor = a.ub;
-            let r = mtmetis::partition(&g, &c);
+        Algo::MtMetis => {
+            let r = mtmetis::partition(g, &req.mtmetis_config());
             (r.part, r.ledger.total(), "mt-metis (shared-memory)", None)
         }
-        "parmetis" => {
-            let mut c = parmetis::ParMetisConfig::new(a.k).with_ranks(a.ranks).with_seed(a.seed);
-            c.ubfactor = a.ub;
-            let r = parmetis::partition(&g, &c);
+        Algo::ParMetis => {
+            let r = parmetis::try_partition(g, &req.parmetis_config())
+                .map_err(|e| format!("parmetis cluster failed: {e}"))?;
             (r.part, r.ledger.total(), "ParMetis (distributed)", None)
         }
-        "gpmetis" => {
-            let mut c = gpmetis::GpMetisConfig::new(a.k).with_seed(a.seed);
-            c.ubfactor = a.ub;
-            c.cpu_threads = a.threads;
-            c.fallback = a.fallback;
-            if let Some(t) = a.gpu_threshold {
-                c.gpu_threshold = t;
-            }
+        Algo::GpMetis => {
+            let c = req.gpmetis_config();
             if let Some(devices) = a.devices {
                 let fabric = a.interconnect.as_deref().unwrap_or("pcie");
-                let Some(link) = LinkConfig::by_name(fabric) else {
-                    eprintln!("error: unknown interconnect {fabric:?}");
-                    return ExitCode::FAILURE;
-                };
+                let link = LinkConfig::by_name(fabric)
+                    .ok_or_else(|| format!("unknown interconnect {fabric:?}"))?;
                 let cfg = MultiGpuConfig::new(c, devices).with_link(link);
-                match partition_multi(&g, &cfg) {
-                    Ok(r) => {
-                        if !a.quiet {
-                            eprintln!(
-                                "devices        : {} over {} ({})",
-                                r.devices,
-                                fabric,
-                                if cfg.link.p2p { "peer-to-peer" } else { "staged via host" }
-                            );
-                            for i in 0..r.devices {
-                                eprintln!(
-                                    "  gpu{i}: {} GPU level(s), peak {:.1} MiB",
-                                    r.gpu_levels[i],
-                                    r.peak_device_bytes[i] as f64 / (1 << 20) as f64
-                                );
-                            }
-                            for (src, dst, ls) in &r.link_stats {
-                                eprintln!(
-                                    "  link {src}->{dst}: {} B in {} transfer(s), {:.6} s",
-                                    ls.bytes, ls.transfers, ls.seconds
-                                );
-                            }
-                            eprintln!(
-                                "interconnect   : {} B total, {:.6} s modeled; {} boundary \
-                                 vertices",
-                                r.interconnect_bytes, r.interconnect_seconds, r.boundary_vertices
-                            );
-                        }
-                        (r.result.part, r.result.ledger.total(), "GP-metis (multi-GPU)", r.overlap)
+                let r = partition_multi(g, &cfg).map_err(|e| e.to_string())?;
+                if !a.quiet {
+                    eprintln!(
+                        "devices        : {} over {} ({})",
+                        r.devices,
+                        fabric,
+                        if cfg.link.p2p { "peer-to-peer" } else { "staged via host" }
+                    );
+                    for i in 0..r.devices {
+                        eprintln!(
+                            "  gpu{i}: {} GPU level(s), peak {:.1} MiB",
+                            r.gpu_levels[i],
+                            r.peak_device_bytes[i] as f64 / (1 << 20) as f64
+                        );
                     }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
+                    for (src, dst, ls) in &r.link_stats {
+                        eprintln!(
+                            "  link {src}->{dst}: {} B in {} transfer(s), {:.6} s",
+                            ls.bytes, ls.transfers, ls.seconds
+                        );
                     }
+                    eprintln!(
+                        "interconnect   : {} B total, {:.6} s modeled; {} boundary vertices",
+                        r.interconnect_bytes, r.interconnect_seconds, r.boundary_vertices
+                    );
                 }
+                (r.result.part, r.result.ledger.total(), "GP-metis (multi-GPU)", r.overlap)
             } else {
-                match gpmetis::partition(&g, &c) {
-                    Ok(r) => {
-                        if !a.quiet && r.report.faults_injected > 0 {
-                            eprintln!(
-                                "faults         : {} injected, {} retried",
-                                r.report.faults_injected, r.report.device_retries
-                            );
-                        }
-                        if r.report.degraded {
-                            eprintln!(
-                                "degraded       : GPU lost at {} ({}); resumed on CPU from \
-                             checkpoint of {} GPU level(s)",
-                                r.report.degrade_point.as_deref().unwrap_or("?"),
-                                r.report.device_error.as_deref().unwrap_or("?"),
-                                r.report.checkpoint_gpu_levels
-                            );
-                        }
-                        (
-                            r.result.part,
-                            r.result.ledger.total(),
-                            "GP-metis (hybrid CPU-GPU)",
-                            r.overlap,
-                        )
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                let r = gpmetis::partition(g, &c).map_err(|e| e.to_string())?;
+                if !a.quiet && r.report.faults_injected > 0 {
+                    eprintln!(
+                        "faults         : {} injected, {} retried",
+                        r.report.faults_injected, r.report.device_retries
+                    );
                 }
+                if r.report.degraded {
+                    eprintln!(
+                        "degraded       : GPU lost at {} ({}); resumed on CPU from checkpoint \
+                         of {} GPU level(s)",
+                        r.report.degrade_point.as_deref().unwrap_or("?"),
+                        r.report.device_error.as_deref().unwrap_or("?"),
+                        r.report.checkpoint_gpu_levels
+                    );
+                }
+                (r.result.part, r.result.ledger.total(), "GP-metis (hybrid CPU-GPU)", r.overlap)
             }
-        }
-        other => {
-            eprintln!("error: unknown algorithm {other:?}");
-            return ExitCode::FAILURE;
         }
     };
 
     if !a.quiet {
         eprintln!("algorithm      : {name}");
-        eprintln!("edge cut       : {}", edge_cut(&g, &part));
-        eprintln!("imbalance      : {:.4} (tolerance {:.2})", imbalance(&g, &part, a.k), a.ub);
-        eprintln!("comm volume    : {}", comm_volume(&g, &part));
+        eprintln!("edge cut       : {}", edge_cut(g, &part));
+        eprintln!("imbalance      : {:.4} (tolerance {:.2})", imbalance(g, &part, k), req.ub());
+        eprintln!("comm volume    : {}", comm_volume(g, &part));
         eprintln!("modeled time   : {modeled:.4} s (paper-testbed model)");
         if let Some(ov) = &overlap {
             eprintln!(
@@ -394,26 +318,16 @@ fn main() -> ExitCode {
     }
 
     if let Some(out) = &a.output {
-        let f = match std::fs::File::create(out) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: cannot create {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut w = std::io::BufWriter::new(f);
-        for p in &part {
-            if writeln!(w, "{p}").is_err() {
-                eprintln!("error: write failed");
-                return ExitCode::FAILURE;
-            }
-        }
+        std::fs::File::create(out)
+            .map_err(io::IoError::from)
+            .and_then(|f| io::write_partition(&part, f))
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
         if !a.quiet {
             eprintln!("wrote {out}");
         }
     } else {
         // summary to stdout so scripts can consume it
-        println!("{} {} {}", a.k, edge_cut(&g, &part), modeled);
+        println!("{k} {} {modeled}", edge_cut(g, &part));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

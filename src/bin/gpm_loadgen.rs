@@ -22,10 +22,11 @@
 //! degradation counts via the gpm-testkit bench schema.
 //!
 //! `submit`, `stats`, and `shutdown` are one-shot verbs used by the CI
-//! serve-smoke stage. `submit` writes the partition in the same format
-//! as `gpartition --output` so the two can be diffed byte-for-byte; it
-//! honors `QueueFull` back-pressure by retrying with the daemon's
-//! `retry_after` hint (capped backoff, `--retries` attempts).
+//! serve-smoke stage. `submit` reads the engine flags with `gpartition`'s
+//! parser ([`gp_metis_repro::cli`]) and writes the partition with the
+//! same writer as `gpartition --output`, so the two can be diffed
+//! byte-for-byte; it honors `QueueFull` back-pressure by retrying with
+//! the daemon's `retry_after` hint (capped backoff, `--retries` attempts).
 //!
 //! `chaos` is the deterministic chaos harness (DESIGN.md §14): from one
 //! seed it derives a schedule of hostile clients — mid-job half-close
@@ -38,13 +39,13 @@
 //! `CHAOS-REPORT` block whose lines are bit-reproducible across
 //! `GPM_THREADS` settings — the chaos-smoke CI stage diffs it.
 
+use gp_metis_repro::cli::engine_flag;
 use gp_metis_repro::graph::csr::CsrGraph;
-use gp_metis_repro::graph::gen;
 use gp_metis_repro::graph::stream::read_metis_mmap;
+use gp_metis_repro::graph::{gen, io};
 use gpm_graph::rng::SplitMix64;
 use gpm_serve::client::Client;
 use gpm_serve::protocol::{Algo, JobRequest, Response};
-use gpm_serve::{gpmetis_config, mtmetis_config};
 use gpm_testkit::bench::BenchSuite;
 use std::collections::HashMap;
 use std::io::Write;
@@ -107,34 +108,19 @@ fn run_submit(args: Vec<String>) -> ExitCode {
             "--retries" => {
                 retries = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
-            "--seed" => {
-                req.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--ub" => {
-                let ub: f64 = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-                req.ub_bits = ub.to_bits();
-            }
-            "--algo" => {
-                let name = it.next().unwrap_or_else(|| usage());
-                req.algo = Algo::parse(&name).unwrap_or_else(|| usage());
-            }
             "--deadline-ms" => {
                 req.deadline_ms = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
             "--faults" => req.fault_plan_str = it.next().unwrap_or_else(|| usage()),
-            "--fallback" => req.fallback = true,
-            "--gpu-threshold" => {
-                req.gpu_threshold =
-                    it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                req.threads = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--ranks" => {
-                req.ranks = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
             "--output" => output = Some(it.next().unwrap_or_else(|| usage())),
-            _ => usage(),
+            other => match engine_flag(&mut req, other, &mut it) {
+                Ok(true) => {}
+                Ok(false) => usage(),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
+            },
         }
     }
     let mut client = match Client::connect(&addr) {
@@ -162,12 +148,10 @@ fn run_submit(args: Vec<String>) -> ExitCode {
                 rep.telemetry.wall_us
             );
             if let Some(out) = output {
-                let mut buf = String::with_capacity(rep.part.len() * 2);
-                for p in &rep.part {
-                    buf.push_str(&p.to_string());
-                    buf.push('\n');
-                }
-                if let Err(e) = std::fs::write(&out, buf) {
+                let written = std::fs::File::create(&out)
+                    .map_err(io::IoError::from)
+                    .and_then(|f| io::write_partition(&rep.part, f));
+                if let Err(e) = written {
                     eprintln!("error: cannot write {out}: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -763,7 +747,7 @@ fn run_chaos(args: Vec<String>) -> ExitCode {
                     eprintln!("error: cooldown job {i} not served breaker-open: {rep:?}");
                     return ExitCode::FAILURE;
                 }
-                let reference = gpm_mtmetis::partition(&req.graph, &mtmetis_config(&req));
+                let reference = gpm_mtmetis::partition(&req.graph, &req.mtmetis_config());
                 if rep.part != reference.part {
                     eprintln!("error: cooldown job {i} diverges from the mt-metis rung");
                     return ExitCode::FAILURE;
@@ -785,7 +769,7 @@ fn run_chaos(args: Vec<String>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let reference =
-                gp_metis::partition_with_plan(&probe.graph, &gpmetis_config(&probe), None)
+                gp_metis::partition_with_plan(&probe.graph, &probe.gpmetis_config(), None)
                     .expect("reference probe run");
             if rep.part != reference.result.part {
                 eprintln!("error: probe diverges from fault-free reference");
@@ -807,7 +791,7 @@ fn run_chaos(args: Vec<String>) -> ExitCode {
         match main.submit_wait_retry(&req, 10_000) {
             Ok(Response::Ok(rep)) => {
                 let reference =
-                    gp_metis::partition_with_plan(&req.graph, &gpmetis_config(&req), None)
+                    gp_metis::partition_with_plan(&req.graph, &req.gpmetis_config(), None)
                         .expect("reference run");
                 if rep.part != reference.result.part {
                     eprintln!("error: verify job {i} diverges from fault-free reference");

@@ -14,6 +14,7 @@
 //! * [`gpmetis`] — the paper's hybrid CPU-GPU partitioner.
 //! * [`pool`] — the process-wide work-stealing executor.
 //! * [`serve`] — the partition-as-a-service daemon and its client.
+//! * [`cli`] — the engine flags `gpartition` and `gpm-loadgen` share.
 
 pub use gp_metis as gpmetis;
 pub use gpm_faults as faults;
@@ -25,3 +26,5 @@ pub use gpm_mtmetis as mtmetis;
 pub use gpm_parmetis as parmetis;
 pub use gpm_pool as pool;
 pub use gpm_serve as serve;
+
+pub mod cli;

@@ -103,3 +103,46 @@ fn cli_rejects_bad_input() {
     let out = Command::new(bin()).args(["--help-me"]).output().unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn cli_rejects_out_of_domain_options() {
+    let dir = std::env::temp_dir().join("gpm_cli_test4");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("g.graph");
+    write_metis_file(&delaunay_like(500, 7), &graph_path).unwrap();
+    // (k, flags, the field the error must name)
+    for (k, flags, named) in [
+        ("4", &["--algo", "mtmetis", "--threads", "0"][..], "threads"),
+        ("4", &["--algo", "parmetis", "--ranks", "0"], "ranks"),
+        ("4", &["--ub", "nan"], "ub"),
+        ("4", &["--ub", "0.5"], "ub"),
+        ("501", &["--algo", "metis"], "k 501"),
+        ("4", &["--gpu-threshold", "0"], "--gpu-threshold"),
+    ] {
+        let mut args = vec![graph_path.to_str().unwrap(), k, "--quiet"];
+        args.extend_from_slice(flags);
+        let out = Command::new(bin()).args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{k} {flags:?}: {err}");
+        assert!(err.starts_with("error: ") && err.contains(named), "{k} {flags:?}: {err}");
+        assert!(!err.contains("panicked at"), "{k} {flags:?}: {err}");
+    }
+    std::fs::remove_file(&graph_path).ok();
+}
+
+#[test]
+fn cli_parmetis_rank_crash_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join("gpm_cli_test5");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("g.graph");
+    write_metis_file(&delaunay_like(500, 7), &graph_path).unwrap();
+    let out = Command::new(bin())
+        .args([graph_path.to_str().unwrap(), "8", "--quiet", "--algo", "parmetis", "--ranks", "4"])
+        .env("GPM_FAULTS", "3:msg.crash.r1@0=crash")
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("error: parmetis cluster failed: rank 1 crashed"), "{err}");
+    std::fs::remove_file(&graph_path).ok();
+}
