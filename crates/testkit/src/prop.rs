@@ -20,6 +20,10 @@ use gpm_graph::rng::SplitMix64;
 /// What a property returns: `Err(message)` fails the case.
 pub type PropResult = Result<(), String>;
 
+/// The base seed of a run without a `GPM_TESTKIT_SEED` override, and
+/// the fixed seed of every [`crate::pinned`] case loop.
+pub const DEFAULT_SEED: u64 = 0x5EED_CAFE;
+
 /// Harness configuration. Build one with [`Config::new`] to pick up the
 /// `GPM_TESTKIT_SEED` / `GPM_TESTKIT_CASES` environment overrides.
 #[derive(Debug, Clone)]
@@ -40,7 +44,7 @@ impl Config {
         let seed = std::env::var("GPM_TESTKIT_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
-            .unwrap_or(0x5EED_CAFE);
+            .unwrap_or(DEFAULT_SEED);
         let cases =
             std::env::var("GPM_TESTKIT_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(cases);
         Config { cases, seed, max_shrink_runs: 1_000 }
@@ -62,7 +66,7 @@ pub struct Source {
 }
 
 impl Source {
-    fn live(seed: u64, case: u64) -> Self {
+    pub(crate) fn live(seed: u64, case: u64) -> Self {
         Source {
             rng: Some(SplitMix64::stream(seed, case)),
             tape: Vec::new(),
