@@ -13,6 +13,7 @@ use gp_metis::{partition, GpMetisConfig};
 use gpm_faults::{FaultKind, FaultPlan, Selector};
 use gpm_gpu_sim::{LinkConfig, OverlapReport};
 use gpm_graph::csr::CsrGraph;
+use gpm_graph::digest::Fnv1a;
 use gpm_graph::gen::{delaunay_like, grid2d, hugebubbles_like, usa_roads_like};
 use gpm_metis::PartitionResult;
 
@@ -21,23 +22,20 @@ use gpm_metis::PartitionResult;
 /// differs from the single-subtraction phase charge by ULPs.
 const REL_EPS: f64 = 1e-9;
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn part_hash(r: &PartitionResult) -> u64 {
-    r.part.iter().fold(0xcbf29ce484222325, |h, p| fnv(h, &p.to_le_bytes()))
+    let mut h = Fnv1a::new();
+    for p in &r.part {
+        h.bytes(&p.to_le_bytes());
+    }
+    h.finish()
 }
 
 fn ledger_hash(r: &PartitionResult) -> u64 {
-    r.ledger
-        .phases
-        .iter()
-        .fold(0xcbf29ce484222325, |h, (n, s)| fnv(fnv(h, n.as_bytes()), &s.to_bits().to_le_bytes()))
+    let mut h = Fnv1a::new();
+    for (name, s) in &r.ledger.phases {
+        h.bytes(name.as_bytes()).f64(*s);
+    }
+    h.finish()
 }
 
 fn pin_codes() -> Vec<(&'static str, CsrGraph)> {

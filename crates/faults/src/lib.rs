@@ -34,6 +34,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use gpm_graph::digest::fnv1a;
 use gpm_graph::rng::SplitMix64;
 
 /// What kind of failure is injected at a site.
@@ -163,20 +164,13 @@ impl Selector {
             Selector::Always => true,
             Selector::One(n) => invocation == n,
             Selector::Range(a, b) => (a..b).contains(&invocation),
-            Selector::Prob(p) => SplitMix64::stream(seed ^ fnv1a(site), invocation).chance(p),
+            // the site's FNV-1a folds it into the stream id, so two sites
+            // with the same invocation index draw independently
+            Selector::Prob(p) => {
+                SplitMix64::stream(seed ^ fnv1a(site.as_bytes()), invocation).chance(p)
+            }
         }
     }
-}
-
-/// FNV-1a over the site name: folds the site into the RNG stream id so two
-/// sites with the same invocation index draw independently.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// One scheduled fault: a site pattern, a selector, and a kind.

@@ -7,6 +7,7 @@ use gp_metis_repro::gpmetis::kernels::contract::{gpu_contract, MergeStrategy};
 use gp_metis_repro::gpmetis::kernels::matching::gpu_matching;
 use gp_metis_repro::gpmetis::kernels::refine::{gpu_part_weights, gpu_project, gpu_refine};
 use gp_metis_repro::gpu::{exclusive_scan_u32, inclusive_scan_u32, Device, GpuConfig};
+use gp_metis_repro::graph::digest::Fnv1a;
 use gp_metis_repro::graph::gen::{delaunay_like, hugebubbles_like, rmat, usa_roads_like};
 use gp_metis_repro::graph::metrics::{edge_cut, max_part_weight};
 use gp_metis_repro::graph::rng::SplitMix64;
@@ -165,15 +166,9 @@ fn oom_propagates_from_mid_pipeline() {
 
 /// FNV-1a over every field of every launch in a kernel log, in order.
 fn kernel_log_hash(log: &[gp_metis_repro::gpu::KernelStats]) -> u64 {
-    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-    log.iter().fold(0xcbf29ce484222325, |mut h, k| {
-        h = fnv(h, k.name.as_bytes());
+    let mut h = Fnv1a::new();
+    for k in log {
+        h.bytes(k.name.as_bytes());
         for w in [
             k.n_threads as u64,
             k.warps,
@@ -185,10 +180,10 @@ fn kernel_log_hash(log: &[gp_metis_repro::gpu::KernelStats]) -> u64 {
             k.compute_seconds.to_bits(),
             k.seconds.to_bits(),
         ] {
-            h = fnv(h, &w.to_le_bytes());
+            h.u64(w);
         }
-        h
-    })
+    }
+    h.finish()
 }
 
 /// Golden accounting of the simulator: the kernel log of whole
