@@ -204,7 +204,8 @@ struct RankSites {
 impl RankCtx {
     /// Leave the rank body with a typed error: post crash notices so
     /// blocked peers fail fast, poison the barrier, then unwind to the
-    /// `catch_unwind` in `try_run_cluster`.
+    /// `catch_unwind` in `try_run_cluster`. `resume_unwind` skips the
+    /// panic hook, so a typed abort prints no panic message.
     fn abort(&mut self, e: MsgError) -> ! {
         for r in 0..self.ranks {
             if r != self.rank {
@@ -213,7 +214,7 @@ impl RankCtx {
             }
         }
         self.barrier.poison(self.rank);
-        std::panic::panic_any(RankAbort(e));
+        std::panic::resume_unwind(Box::new(RankAbort(e)));
     }
 
     /// Fault site visited at every send/recv entry: an injected

@@ -54,7 +54,7 @@
 //! unrecoverable device failure degrades to the CPU engine from the last
 //! checkpointed level instead of failing the run.
 
-use gp_metis_repro::cli::{engine_flag, FlagError};
+use gp_metis_repro::cli::{check_engine_flags, engine_flag, FlagError};
 use gp_metis_repro::gpmetis;
 use gp_metis_repro::gpmetis::multi_gpu::{partition_multi, MultiGpuConfig};
 use gp_metis_repro::gpu::LinkConfig;
@@ -137,20 +137,12 @@ fn parse_args() -> Result<Args, FlagError> {
     Ok(a)
 }
 
-/// Flags only the gpmetis engine reads are rejected with any other
-/// engine instead of being silently ignored; so is a fabric without a
-/// device count.
-fn check_engine_flags(a: &Args) -> Result<(), String> {
-    let engine_flags = [
-        ("--devices", a.devices.is_some()),
-        ("--interconnect", a.interconnect.is_some()),
-        ("--fallback", a.req.fallback),
-        ("--gpu-threshold", a.req.gpu_threshold != 0),
-    ];
-    let set: Vec<&str> = engine_flags.iter().filter(|f| f.1).map(|f| f.0).collect();
-    if a.req.algo != Algo::GpMetis && !set.is_empty() {
-        return Err(format!("--algo {} does not take {}", a.req.algo.name(), set.join(", ")));
-    }
+/// The gpmetis-only flags, gpartition's own included, are rejected with
+/// any other engine instead of being silently ignored; so is a fabric
+/// without a device count.
+fn check_flags(a: &Args) -> Result<(), String> {
+    let own = [("--devices", a.devices.is_some()), ("--interconnect", a.interconnect.is_some())];
+    check_engine_flags(&a.req, &own)?;
     if a.interconnect.is_some() && a.devices.is_none() {
         return Err("--interconnect needs --devices".into());
     }
@@ -169,7 +161,7 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), String> {
     let mut a = parse_args().map_err(|e| e.to_string())?;
-    check_engine_flags(&a)?;
+    check_flags(&a)?;
     let mut g = if a.input.ends_with(".gr") {
         let f =
             std::fs::File::open(&a.input).map_err(|e| format!("cannot open {}: {e}", a.input))?;

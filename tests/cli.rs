@@ -97,6 +97,25 @@ fn cli_rejects_engine_flags_it_would_ignore() {
 }
 
 #[test]
+fn cli_loadgen_rejects_gpmetis_only_flags_before_connecting() {
+    let dir = std::env::temp_dir().join("gpm_cli_test6");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("g.graph");
+    write_metis_file(&delaunay_like(200, 7), &graph_path).unwrap();
+    // nothing listens on port 1: reaching the connect step would fail
+    // with "cannot connect", so the flag error proves the check runs first
+    let out = Command::new(env!("CARGO_BIN_EXE_gpm-loadgen"))
+        .args(["submit", "127.0.0.1:1", graph_path.to_str().unwrap(), "8", "--algo", "metis"])
+        .args(["--fallback", "--gpu-threshold", "7"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("error: --algo metis does not take --fallback, --gpu-threshold"), "{err}");
+    std::fs::remove_file(&graph_path).ok();
+}
+
+#[test]
 fn cli_rejects_bad_input() {
     let out = Command::new(bin()).args(["/nonexistent/x.graph", "4", "--quiet"]).output().unwrap();
     assert!(!out.status.success());
@@ -144,5 +163,6 @@ fn cli_parmetis_rank_crash_is_an_error_not_a_panic() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("error: parmetis cluster failed: rank 1 crashed"), "{err}");
+    assert!(!err.contains("panicked"), "a typed abort must not run the panic hook: {err}");
     std::fs::remove_file(&graph_path).ok();
 }
