@@ -50,6 +50,25 @@ if ! diff -u eval_small.txt "$smoke/eval_small.txt"; then
 fi
 echo "eval_small.txt regenerates byte-identically"
 
+step "ablation tables (regenerate ablations.txt, byte-for-byte)"
+# The committed file is each ablation binary's default run, in this
+# order, with a header line before every section but the first and last.
+{
+    rel=./target/release
+    "$rel/ablation_coalescing"
+    echo "===CONTRACTION===";  "$rel/ablation_contraction"
+    echo "===THRESHOLD===";    "$rel/ablation_threshold"
+    echo "===ROUNDS===";       "$rel/ablation_match_rounds"
+    echo "===SCALING===";      "$rel/ablation_scaling"
+    echo "===LOCALITY===";     "$rel/ablation_locality"
+    "$rel/ablation_mode"
+} > "$smoke/ablations.txt" 2> /dev/null
+if ! diff -u ablations.txt "$smoke/ablations.txt"; then
+    echo "ERROR: ablations.txt differs from a fresh run of the ablation binaries" >&2
+    exit 1
+fi
+echo "ablations.txt regenerates byte-identically"
+
 step "fault-injection smoke (gpm-faults: retry, degradation, identity)"
 cargo run --release --offline -q --example degraded_pipeline > "$smoke/degraded.txt"
 grep -q "degraded : " "$smoke/degraded.txt"
@@ -106,17 +125,19 @@ GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke"
 ./target/release/validate_bench "$smoke/BENCH_pool.json" "$smoke/BENCH_phases.json"
 
 step "refine-perf smoke (boundary layer: bench JSON)"
-# The refiner identity suites (refine_identity, prefine_identity,
-# drefine_identity, gpu_refine_identity) ran in the workspace test step.
+# The refiners' golden-digest suites (refine_identity, prefine_identity,
+# drefine_identity, gpu_refine_identity) ran in the workspace test step:
+# each pins partitions, stats, Work/RankPhase ledgers and kernel logs as
+# a committed FNV-1a digest over a fixed case matrix.
 GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.05 GPM_BENCH_DIR="$smoke" \
     cargo bench --offline -p gpm-bench --bench refine
 ./target/release/validate_bench "$smoke/BENCH_refine.json"
 
-step "coarsen-perf smoke (parallel contraction identity across workers + bench JSON)"
-# The contraction identity and allocation suites (contract_identity,
+step "coarsen-perf smoke (parallel contraction digests across workers + bench JSON)"
+# The contraction digest and allocation suites (contract_identity,
 # coarsen_alloc, dcontract_identity, gpu_contract_identity) ran in the
-# workspace test step; the parallel identity suite re-runs here under
-# several physical worker counts.
+# workspace test step; the parallel contraction's digests re-run here
+# under several physical worker counts, which must not move them.
 for t in 1 4 8; do
     GPM_THREADS=$t cargo test -q --offline -p gpm-mtmetis --test pcontract_identity
 done
