@@ -1,14 +1,23 @@
-//! Runs the full evaluation once and prints Fig. 5 + Table II +
-//! Table III together (the cheap way to regenerate all three).
+//! Runs the full evaluation once and prints the paper's results: Fig. 5,
+//! Table II and Table III. The default run (small scale, one run) is
+//! committed as `eval_small.txt`. A `GPM_SCALE` or `GPM_RUNS` value it
+//! cannot read is an error (exit 1).
 //!
 //! ```text
 //! GPM_SCALE=small GPM_RUNS=3 cargo run --release -p gpm-bench --bin evaluation
 //! ```
 
 use gpm_bench::{print_fig5, print_table2, print_table3, run_suite, EvalConfig};
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = EvalConfig::from_env();
+fn main() -> ExitCode {
+    let cfg = match EvalConfig::from_env() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let results = run_suite(&cfg);
     print_fig5(&results);
     print_table2(&results);
@@ -24,4 +33,5 @@ fn main() {
             r.gpmetis.imbalance,
         );
     }
+    ExitCode::SUCCESS
 }

@@ -7,9 +7,16 @@
 
 use gpm_bench::EvalConfig;
 use gpm_graph::gen::PaperGraph;
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = EvalConfig::from_env();
+fn main() -> ExitCode {
+    let cfg = match EvalConfig::from_env() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!("Table I — Input graphs (generated stand-ins at scale {:?})", cfg.scale);
     println!(
         "{:<12} {:>12} {:>12} {:>9} | {:>12} {:>12}  Description",
@@ -28,4 +35,5 @@ fn main() {
             pg.description(),
         );
     }
+    ExitCode::SUCCESS
 }

@@ -63,20 +63,37 @@ pub struct EvalConfig {
 }
 
 impl EvalConfig {
-    /// Paper defaults, with scale/runs read from `GPM_SCALE` ("tiny",
-    /// "small", "medium", "full", or a fraction like "0.02") and
-    /// `GPM_RUNS` environment variables.
-    pub fn from_env() -> Self {
-        let scale = match std::env::var("GPM_SCALE").as_deref() {
-            Ok("tiny") => SuiteScale::Tiny,
-            Ok("small") => SuiteScale::Small,
-            Ok("medium") => SuiteScale::Medium,
-            Ok("full") => SuiteScale::Full,
-            Ok(s) => s.parse::<f64>().map(SuiteScale::Fraction).unwrap_or(SuiteScale::Small),
-            Err(_) => SuiteScale::Small,
+    /// Paper defaults, with the suite scale read from `GPM_SCALE` and the
+    /// run count from `GPM_RUNS` (see [`EvalConfig::from_vars`]).
+    pub fn from_env() -> Result<Self, String> {
+        let var = |key| std::env::var(key).ok();
+        Self::from_vars(var("GPM_SCALE").as_deref(), var("GPM_RUNS").as_deref())
+    }
+
+    /// Paper defaults with `scale` ("tiny", "small", "medium", "full", or
+    /// a finite fraction > 0 like "0.02"; unset is small) and `runs` (an
+    /// integer >= 1; unset is 1). Any other value is an error naming the
+    /// variable, never a silent default.
+    pub fn from_vars(scale: Option<&str>, runs: Option<&str>) -> Result<Self, String> {
+        let bad = |key: &str, v: &str| format!("{key}: bad value {v:?}");
+        let scale = match scale {
+            None | Some("small") => SuiteScale::Small,
+            Some("tiny") => SuiteScale::Tiny,
+            Some("medium") => SuiteScale::Medium,
+            Some("full") => SuiteScale::Full,
+            Some(s) => match s.parse::<f64>() {
+                Ok(f) if f.is_finite() && f > 0.0 => SuiteScale::Fraction(f),
+                _ => return Err(bad("GPM_SCALE", s)),
+            },
         };
-        let runs = std::env::var("GPM_RUNS").ok().and_then(|r| r.parse().ok()).unwrap_or(1);
-        EvalConfig { k: 64, runs, seed: 1, scale }
+        let runs = match runs {
+            None => 1,
+            Some(r) => match r.parse::<usize>() {
+                Ok(n) if n >= 1 => n,
+                _ => return Err(bad("GPM_RUNS", r)),
+            },
+        };
+        Ok(EvalConfig { k: 64, runs, seed: 1, scale })
     }
 }
 
@@ -213,11 +230,36 @@ mod tests {
 
     #[test]
     fn eval_config_env_defaults() {
-        // The paper's protocol: k = 64 on the request defaults.
-        let c = EvalConfig::from_env();
-        assert_eq!(c.k, 64);
+        // The paper's protocol: k = 64 on the request defaults, at small
+        // scale and one run when neither variable is set.
+        let c = EvalConfig::from_vars(None, None).unwrap();
+        assert_eq!((c.k, c.runs, c.scale), (64, 1, SuiteScale::Small));
         let job = JobRequest::new(gpm_graph::csr::CsrGraph::empty(), c.k);
         assert_eq!((job.ub(), job.threads, job.ranks), (1.03, 8, 8));
+    }
+
+    #[test]
+    fn eval_config_rejects_bad_scale() {
+        let scale = |v| EvalConfig::from_vars(Some(v), None).map(|c| c.scale);
+        assert_eq!(scale("tiny"), Ok(SuiteScale::Tiny));
+        assert_eq!(scale("full"), Ok(SuiteScale::Full));
+        assert_eq!(scale("0.02"), Ok(SuiteScale::Fraction(0.02)));
+        assert_eq!(scale("1e-9"), Ok(SuiteScale::Fraction(1e-9)));
+        assert_eq!(scale("smal"), Err(r#"GPM_SCALE: bad value "smal""#.to_string()));
+        for v in ["", "Small", "0", "-0", "-1", "NaN", "inf", "0.02x"] {
+            assert_eq!(scale(v), Err(format!("GPM_SCALE: bad value {v:?}")), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn eval_config_rejects_bad_runs() {
+        let runs = |v| EvalConfig::from_vars(None, Some(v)).map(|c| c.runs);
+        assert_eq!(runs("1"), Ok(1));
+        assert_eq!(runs("3"), Ok(3));
+        assert_eq!(runs("0"), Err(r#"GPM_RUNS: bad value "0""#.to_string()));
+        for v in ["", "-1", "1.5", "three"] {
+            assert_eq!(runs(v), Err(format!("GPM_RUNS: bad value {v:?}")), "{v:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `adjwgt`, `vwgt`.
 
 use gpm_gpu_sim::{DBuf, Device, DeviceError};
-use gpm_graph::csr::{CsrGraph, Vid};
+use gpm_graph::csr::{CsrGraph, GraphIndex, Vid};
 
 /// Upload a host index array (`Vid`-width) as 32-bit device words. The
 /// simulated device keeps CUDA's 32-bit word model regardless of the host
@@ -11,35 +11,19 @@ use gpm_graph::csr::{CsrGraph, Vid};
 /// addressed on-device and is reported as an allocation failure (same
 /// surface as a capacity OOM — the graph does not fit this device).
 pub(crate) fn h2d_idx(dev: &Device, v: &[Vid]) -> Result<DBuf<u32>, DeviceError> {
-    #[cfg(not(feature = "idx64"))]
-    {
-        dev.h2d(v)
-    }
-    #[cfg(feature = "idx64")]
-    {
-        if v.iter().any(|&x| x > u32::MAX as Vid) {
-            return Err(DeviceError::Oom(gpm_gpu_sim::GpuOom {
-                requested: v.len() as u64 * 8,
-                in_use: 0,
-                capacity: u32::MAX as u64 * 4,
-            }));
-        }
-        let narrowed: Vec<u32> = v.iter().map(|&x| x as u32).collect();
-        dev.h2d(&narrowed)
+    match Vid::to_u32_words(v) {
+        Some(words) => dev.h2d(&words[..]),
+        None => Err(DeviceError::Oom(gpm_gpu_sim::GpuOom {
+            requested: (v.len() * Vid::BYTES) as u64,
+            in_use: 0,
+            capacity: u32::MAX as u64 * 4,
+        })),
     }
 }
 
 /// Download a 32-bit device index array back to `Vid` width.
 pub(crate) fn d2h_idx(dev: &Device, b: &DBuf<u32>) -> Result<Vec<Vid>, DeviceError> {
-    let words = dev.d2h(b)?;
-    #[cfg(not(feature = "idx64"))]
-    {
-        Ok(words)
-    }
-    #[cfg(feature = "idx64")]
-    {
-        Ok(words.into_iter().map(|x| x as Vid).collect())
-    }
+    Ok(Vid::from_u32_words(dev.d2h(b)?))
 }
 
 /// A graph in device memory.

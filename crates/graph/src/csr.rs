@@ -6,6 +6,7 @@
 //! the workspace consume this exact structure so that the CPU and GPU code
 //! paths operate on identical data.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -47,6 +48,12 @@ pub trait GraphIndex:
     fn index(self) -> usize;
     /// Narrow from `usize`; debug-asserts the value fits.
     fn from_usize(x: usize) -> Self;
+    /// The indices as 32-bit words (the simulated device's word width):
+    /// borrowed unchanged at `u32`, narrowed at `u64`, and `None` if any
+    /// value does not fit.
+    fn to_u32_words(v: &[Self]) -> Option<Cow<'_, [u32]>>;
+    /// 32-bit words back at this width: a move at `u32`, widened at `u64`.
+    fn from_u32_words(words: Vec<u32>) -> Vec<Self>;
 }
 
 impl GraphIndex for u32 {
@@ -61,6 +68,14 @@ impl GraphIndex for u32 {
         debug_assert!(x <= u32::MAX as usize);
         x as u32
     }
+    #[inline(always)]
+    fn to_u32_words(v: &[u32]) -> Option<Cow<'_, [u32]>> {
+        Some(Cow::Borrowed(v))
+    }
+    #[inline(always)]
+    fn from_u32_words(words: Vec<u32>) -> Vec<u32> {
+        words
+    }
 }
 
 impl GraphIndex for u64 {
@@ -73,6 +88,12 @@ impl GraphIndex for u64 {
     #[inline(always)]
     fn from_usize(x: usize) -> Self {
         x as u64
+    }
+    fn to_u32_words(v: &[u64]) -> Option<Cow<'_, [u32]>> {
+        v.iter().map(|&x| u32::try_from(x).ok()).collect::<Option<Vec<u32>>>().map(Cow::Owned)
+    }
+    fn from_u32_words(words: Vec<u32>) -> Vec<u64> {
+        words.into_iter().map(u64::from).collect()
     }
 }
 
@@ -373,6 +394,17 @@ mod tests {
 
     fn triangle() -> CsrGraph {
         GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).build()
+    }
+
+    #[test]
+    fn u32_words_borrow_at_u32_and_narrow_checked_at_u64() {
+        let w = [0u32, 7, u32::MAX];
+        assert!(matches!(u32::to_u32_words(&w), Some(Cow::Borrowed(b)) if b == w));
+        assert_eq!(u32::from_u32_words(w.to_vec()), w);
+        let wide: Vec<u64> = w.iter().map(|&x| x as u64).collect();
+        assert_eq!(u64::to_u32_words(&wide).as_deref(), Some(&w[..]));
+        assert_eq!(u64::to_u32_words(&[1, u32::MAX as u64 + 1]), None);
+        assert_eq!(u64::from_u32_words(w.to_vec()), wide);
     }
 
     #[test]

@@ -162,6 +162,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_graph::csr::{GraphIndex, Vid};
     use gpm_graph::gen::grid2d;
 
     fn key(seed: u64) -> CacheKey {
@@ -199,7 +200,7 @@ mod tests {
         let mut req = JobRequest::new(grid2d(10, 10), 4);
         req.seed = 7;
         req.fault_plan_str = "1:serve.job@0=panic".into();
-        let pins = if cfg!(feature = "idx64") {
+        let pins = if Vid::BYTES == 8 {
             (0xba33933eac819c1b, 0x15b499dd4cb0b72c)
         } else {
             (0x63eda3d6187dd38b, 0xf9fe1b7cc257945c)

@@ -119,28 +119,6 @@ impl BenchSuite {
         self.records.last().unwrap()
     }
 
-    /// Record a distribution that was measured *outside* the harness —
-    /// e.g. per-job wall latencies a load generator collected — as one
-    /// bench record with the usual percentile summary. `samples_ns` must
-    /// be non-empty; it is sorted in place.
-    pub fn record_samples(&mut self, name: &str, samples_ns: &mut [u128]) -> &BenchRecord {
-        assert!(!samples_ns.is_empty(), "record_samples needs at least one sample");
-        samples_ns.sort_unstable();
-        let n = samples_ns.len();
-        let rec = BenchRecord {
-            name: name.to_string(),
-            iters: n,
-            median_ns: percentile(samples_ns, 0.5),
-            p10_ns: percentile(samples_ns, 0.1),
-            p90_ns: percentile(samples_ns, 0.9),
-            min_ns: samples_ns[0],
-            max_ns: samples_ns[n - 1],
-            mean_ns: samples_ns.iter().sum::<u128>() / n as u128,
-        };
-        self.records.push(rec);
-        self.records.last().unwrap()
-    }
-
     /// Record a single externally measured scalar (a counter, a rate, a
     /// specific percentile) as a degenerate record whose stats all equal
     /// `value` — schema-valid by construction, so counters ride in the
@@ -455,17 +433,13 @@ mod tests {
     #[test]
     fn external_records_validate_and_summarize() {
         let mut suite = BenchSuite { suite: "x".into(), warmup: 0, iters: 1, records: Vec::new() };
-        let mut lat: Vec<u128> = vec![50, 10, 30, 20, 40];
-        let rec = suite.record_samples("serve/latency", &mut lat);
-        assert_eq!(rec.iters, 5);
-        assert_eq!(rec.min_ns, 10);
-        assert_eq!(rec.max_ns, 50);
-        assert_eq!(rec.median_ns, 30);
-        assert_eq!(rec.mean_ns, 30);
-        let rec = suite.record_value("serve/cache_hit_rate_pct", 83);
-        assert_eq!((rec.min_ns, rec.max_ns, rec.median_ns), (83, 83, 83));
+        suite.run("timed", || 1 + 1);
+        let rec = suite.record_value("scale/grid/csr_bytes", 83);
+        assert_eq!(rec.iters, 1);
+        assert_eq!((rec.min_ns, rec.p10_ns, rec.median_ns), (83, 83, 83));
+        assert_eq!((rec.p90_ns, rec.max_ns, rec.mean_ns), (83, 83, 83));
         let summary = validate_bench_json(&suite.to_json()).unwrap();
-        assert_eq!(summary.benches.len(), 2);
+        assert_eq!(summary.benches, vec!["timed".to_string(), "scale/grid/csr_bytes".to_string()]);
     }
 
     #[test]

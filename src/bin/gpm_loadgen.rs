@@ -1,8 +1,7 @@
 //! `gpm-loadgen` — load generator and scripting client for `gpm-serve`.
 //!
 //! ```text
-//! gpm-loadgen run --addr A [--jobs 1000] [--rate 0] [--seed 42]
-//!                 [--connections 4] [--bench-dir DIR]
+//! gpm-loadgen run --addr A [--jobs 1000] [--seed 42] [--connections 4]
 //! gpm-loadgen submit <addr> <graph.metis> <k> [--seed 1] [--ub 1.03]
 //!                 [--algo gpmetis] [--deadline-ms 0] [--faults PLAN]
 //!                 [--fallback] [--gpu-threshold N] [--threads 8]
@@ -16,10 +15,11 @@
 //! `run` drives a mixed workload — several graph families and sizes,
 //! several k values, a bounded seed pool so identical jobs recur and hit
 //! the result cache, and a sprinkle of per-job fault plans to exercise
-//! the degradation ladder — then asserts that *every* submitted job got
-//! a response (zero lost jobs) and writes `BENCH_serve.json` with
-//! latency percentiles (p50/p95/p99), throughput, cache-hit rate, and
-//! degradation counts via the gpm-testkit bench schema.
+//! the degradation ladder — as fast as the daemon accepts it, then
+//! asserts that *every* submitted job got a response (zero lost jobs)
+//! and prints latency percentiles (p50/p95/p99), throughput, cache-hit
+//! and degradation counts. The repository benchmark (`gpbench`, its
+//! `serve-closed` workload) is where serving performance is measured.
 //!
 //! `submit`, `stats`, and `shutdown` are one-shot verbs used by the CI
 //! serve-smoke stage. `submit` reads the engine flags with `gpartition`'s
@@ -47,7 +47,6 @@ use gpm_graph::digest::Fnv1a;
 use gpm_graph::rng::SplitMix64;
 use gpm_serve::client::Client;
 use gpm_serve::protocol::{Algo, JobRequest, Response};
-use gpm_testkit::bench::BenchSuite;
 use std::collections::HashMap;
 use std::io::Write;
 use std::process::ExitCode;
@@ -56,8 +55,7 @@ use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gpm-loadgen run --addr A [--jobs 1000] [--rate 0] [--seed 42]\n\
-         \x20                   [--connections 4] [--bench-dir DIR]\n\
+        "usage: gpm-loadgen run --addr A [--jobs 1000] [--seed 42] [--connections 4]\n\
          \x20      gpm-loadgen submit <addr> <graph.metis> <k> [--seed 1] [--ub 1.03]\n\
          \x20                   [--algo gpmetis] [--deadline-ms 0] [--faults PLAN]\n\
          \x20                   [--fallback] [--gpu-threshold N] [--threads 8]\n\
@@ -215,22 +213,12 @@ fn run_shutdown(args: Vec<String>) -> ExitCode {
 struct LoadArgs {
     addr: String,
     jobs: usize,
-    /// Target arrival rate in jobs/second; 0 = as fast as possible.
-    rate: f64,
     seed: u64,
     connections: usize,
-    bench_dir: Option<String>,
 }
 
 fn parse_load_args(args: Vec<String>) -> LoadArgs {
-    let mut out = LoadArgs {
-        addr: String::new(),
-        jobs: 1000,
-        rate: 0.0,
-        seed: 42,
-        connections: 4,
-        bench_dir: None,
-    };
+    let mut out = LoadArgs { addr: String::new(), jobs: 1000, seed: 42, connections: 4 };
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -238,16 +226,12 @@ fn parse_load_args(args: Vec<String>) -> LoadArgs {
             "--jobs" => {
                 out.jobs = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
-            "--rate" => {
-                out.rate = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
             "--seed" => {
                 out.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
             "--connections" => {
                 out.connections = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
-            "--bench-dir" => out.bench_dir = Some(it.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
@@ -313,16 +297,11 @@ fn run_load(args: Vec<String>) -> ExitCode {
     );
 
     // Spread jobs round-robin over the connections. Each connection gets
-    // a sender thread (paced submissions) and a reader thread (drains
-    // responses, records latency by tag).
+    // a sender thread (back-to-back submissions) and a reader thread
+    // (drains responses, records latency by tag).
     let outcomes: Arc<Mutex<HashMap<u64, Outcome>>> =
         Arc::new(Mutex::new(HashMap::with_capacity(a.jobs)));
     let t_start = Instant::now();
-    let interval = if a.rate > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / a.rate * a.connections as f64))
-    } else {
-        None
-    };
 
     let mut threads = Vec::new();
     for conn_id in 0..a.connections {
@@ -407,9 +386,6 @@ fn run_load(args: Vec<String>) -> ExitCode {
                     eprintln!("error: submit failed: {e}");
                     return false;
                 }
-                if let Some(iv) = interval {
-                    std::thread::sleep(iv);
-                }
             }
             true
         });
@@ -471,25 +447,6 @@ fn run_load(args: Vec<String>) -> ExitCode {
         p95 as f64 / 1e6,
         p99 as f64 / 1e6,
     );
-
-    // Emit BENCH_serve.json via the shared bench schema: the latency
-    // distribution as real samples, the scalar service metrics as
-    // single-value records.
-    if let Some(dir) = &a.bench_dir {
-        std::env::set_var("GPM_BENCH_DIR", dir);
-    }
-    let mut suite = BenchSuite::new("serve");
-    suite.record_samples("serve/latency", &mut latencies_ns);
-    suite.record_value("serve/latency_p95_ns", p95);
-    suite.record_value("serve/latency_p99_ns", p99);
-    suite.record_value("serve/throughput_jobs_per_sec_x1000", (throughput * 1000.0) as u128);
-    suite.record_value("serve/cache_hit_rate_pct_x100", (hit_rate_pct * 100.0) as u128);
-    suite.record_value("serve/jobs", a.jobs as u128);
-    suite.record_value("serve/completed", completed as u128);
-    suite.record_value("serve/degraded", degraded as u128);
-    suite.record_value("serve/rejected", rejected as u128);
-    suite.record_value("serve/deadline_expired", deadline_expired as u128);
-    suite.finish();
 
     let _ = std::io::stderr().flush();
     ExitCode::SUCCESS
