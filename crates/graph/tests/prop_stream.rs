@@ -11,10 +11,12 @@
 
 use gpm_graph::builder::GraphBuilder;
 use gpm_graph::csr::{CsrGraph, Vid};
+use gpm_graph::digest::Fnv1a;
+use gpm_graph::io::IoError;
 use gpm_graph::io::{read_metis, write_metis};
 use gpm_graph::packed::PackedCsr;
 use gpm_graph::stream::read_metis_streamed;
-use gpm_testkit::{check, tk_assert, tk_assert_eq, Source};
+use gpm_testkit::{check, pinned, tk_assert, tk_assert_eq, Source};
 use std::io::Cursor;
 
 /// A random small weighted graph (possibly with isolated vertices).
@@ -140,6 +142,69 @@ fn truncated_streamed_never_panics() {
                 .map_err(|e| format!("streamed ok but serial failed: {e}"))?;
             assert_bit_identical(&sg, &bg)?;
         }
+        Ok(())
+    });
+}
+
+/// Fold one loader outcome into a golden digest: `0` for an error (its
+/// text is not pinned), `1` and the CSR arrays for a graph.
+fn fold_outcome(h: &mut Fnv1a, r: &Result<CsrGraph, IoError>) {
+    match r {
+        Err(_) => h.u64(0),
+        Ok(g) => h.u64(1).graph(g),
+    };
+}
+
+/// Byte-flip the serialized file of a random graph (the case matrix of
+/// `streamed_is_never_looser_than_serial`).
+fn mutated_file(src: &mut Source) -> Result<Vec<u8>, String> {
+    let g = arbitrary_graph(src);
+    let mut buf = Vec::new();
+    write_metis(&g, &mut buf).map_err(|e| e.to_string())?;
+    for _ in 0..src.usize_in(1, 6) {
+        let i = src.usize_in(0, buf.len());
+        buf[i] = *src.choose(b"0123456789 -x%\n\t.");
+    }
+    Ok(buf)
+}
+
+/// Cut the serialized file of a random graph anywhere (the case matrix
+/// of `truncated_streamed_never_panics`).
+fn truncated_file(src: &mut Source) -> Result<Vec<u8>, String> {
+    let g = arbitrary_graph(src);
+    let mut buf = Vec::new();
+    write_metis(&g, &mut buf).map_err(|e| e.to_string())?;
+    let cut = src.usize_in(0, buf.len() + 1).min(buf.len());
+    buf.truncate(cut);
+    Ok(buf)
+}
+
+#[test]
+fn mutated_files_are_pinned() {
+    pinned("mutated_files_are_pinned", 96, 0xce1cc7441e45bf9a, |src, h| {
+        let buf = mutated_file(src)?;
+        let streamed = read_metis_streamed(&buf);
+        if let Ok(sg) = &streamed {
+            let bg = read_metis(Cursor::new(&buf))
+                .map_err(|e| format!("streamed ok but serial failed: {e}"))?;
+            assert_bit_identical(sg, &bg)?;
+        }
+        fold_outcome(h, &streamed);
+        Ok(())
+    });
+}
+
+#[test]
+fn truncated_files_are_pinned() {
+    pinned("truncated_files_are_pinned", 96, 0x74cb61550030b093, |src, h| {
+        let buf = truncated_file(src)?;
+        let streamed = read_metis_streamed(&buf);
+        if let Ok(sg) = &streamed {
+            let bg = read_metis(Cursor::new(&buf))
+                .map_err(|e| format!("streamed ok but serial failed: {e}"))?;
+            assert_bit_identical(sg, &bg)?;
+        }
+        fold_outcome(h, &streamed);
         Ok(())
     });
 }
