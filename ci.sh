@@ -145,11 +145,11 @@ step "committed bench baselines (schema-check every BENCH_*.json in the repo)"
 ./target/release/validate_bench --all crates/bench
 
 step "scale-smoke (out-of-core loader: u64 build, peak-RSS assertion, identity)"
-# The scale bench generates ~1M/5M/10M-edge grids and asserts the
-# streaming loader's peak heap stays at or under the buffered parser's
-# and under 2x the CSR it builds (it panics otherwise). Run it under the
-# u64-index build so the whole out-of-core path is exercised at width 64;
-# the separate target dir keeps the default-feature artifacts warm.
+# The scale bench generates ~1M/5M/10M-edge grids and asserts only that
+# the streaming loader's peak heap stays within 2x the CSR it builds (it
+# panics otherwise). Run it under the u64-index build so the whole
+# out-of-core path is exercised at width 64; the separate target dir
+# keeps the default-feature artifacts warm.
 GPM_BENCH_WARMUP=0 GPM_BENCH_ITERS=1 GPM_BENCH_SCALE=0.1 GPM_BENCH_DIR="$smoke" \
     cargo bench --offline -p gpm-bench --bench scale --features idx64 \
     --target-dir target/idx64
@@ -165,11 +165,9 @@ echo "u64-index partition is byte-identical to the u32 build"
 # (here the daemon and its tests) must compile without the root feature
 cargo check --offline -p gpm-serve --tests --features gpm-graph/idx64 \
     --target-dir target/idx64
-# the mmap loader and --eval cover the new CLI surface
-run_gp --mmap --output "$smoke/mmap.part"
-diff -q "$smoke/clean.part" "$smoke/mmap.part"
+# --eval scores an existing partition instead of computing one
 "$gp" "$graph" 8 --eval "$smoke/clean.part" | grep -q "^8 "
-echo "mmap load is byte-identical; --eval scores the committed partition"
+echo "--eval scores the committed partition"
 
 step "multigpu-smoke (sharded pipeline: D=1 identity, device sweep)"
 # --devices 1 must be byte-identical to the single-GPU run (partition AND

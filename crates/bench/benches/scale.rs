@@ -1,13 +1,10 @@
-//! Big-graph scale tier (ISSUE 7): the out-of-core input path measured
-//! end to end at 10M / 50M / 100M edges. For each size the bench
-//! generates a mesh-family graph, serializes it to an in-memory METIS
-//! file image, and records
+//! Big-graph scale tier: the out-of-core input path measured end to end
+//! at 10M / 50M / 100M edges. For each size the bench generates a
+//! mesh-family graph, serializes it to an in-memory METIS file image,
+//! and records
 //!
-//! * load wall time and peak heap for the buffered line parser
-//!   (`read_metis`) vs the two-pass streaming loader
+//! * load wall time and peak heap for the two-pass streaming loader
 //!   (`read_metis_streamed`),
-//! * compressed-CSR (`PackedCsr`) pack/decode wall time and the byte
-//!   footprint next to the raw CSR,
 //! * partition wall time, modeled (paper-testbed) time, and peak heap
 //!   for the serial Metis engine at k = 8.
 //!
@@ -17,9 +14,8 @@
 //! `BENCH_scale.json`.
 //!
 //! The bench doubles as the CI scale-smoke's peak-RSS assertion: on any
-//! graph past a million edges the streaming loader must stay within its
-//! modeled working set (CSR + per-row metadata) and must not exceed the
-//! buffered parser's peak — if either regresses, the binary panics and
+//! graph past half a million edges the streaming loader's peak must stay
+//! within 2x the CSR it builds — if it regresses, the binary panics and
 //! the smoke stage fails.
 //!
 //! Sizes honor `GPM_BENCH_SCALE` (CI runs a fraction; the committed
@@ -27,8 +23,7 @@
 
 use gpm_graph::csr::CsrGraph;
 use gpm_graph::gen::grid2d;
-use gpm_graph::io::{read_metis, write_metis};
-use gpm_graph::packed::PackedCsr;
+use gpm_graph::io::write_metis;
 use gpm_graph::stream::read_metis_streamed;
 use gpm_metis::{partition, MetisConfig};
 use gpm_testkit::alloc::CountingAlloc;
@@ -68,28 +63,17 @@ fn run_size(b: &mut BenchSuite, label: &str, target_m: usize) {
     b.record_value(&format!("scale/{label}/file_bytes"), file.len() as u128);
     b.record_value(&format!("scale/{label}/csr_bytes"), csr_bytes as u128);
 
-    // Buffered line parser: the pre-ISSUE-7 load path.
-    let (gb, buf_ns, buf_peak) = measured(|| read_metis(file.as_slice()).expect("buffered parse"));
-    drop(gb);
-    b.record_value(&format!("scale/{label}/load_buffered_ns"), buf_ns);
-    b.record_value(&format!("scale/{label}/load_buffered_peak_bytes"), buf_peak as u128);
-
-    // Two-pass streaming loader (the same parser `--mmap` maps a file
-    // into; here the file image is already in memory, so the numbers
-    // isolate parse cost from I/O for both loaders alike).
+    // Two-pass streaming loader (the parser gpartition maps a file into;
+    // here the file image is already in memory, so the numbers isolate
+    // parse cost from I/O).
     let (gs, stream_ns, stream_peak) =
         measured(|| read_metis_streamed(&file).expect("streamed parse"));
     b.record_value(&format!("scale/{label}/load_streamed_ns"), stream_ns);
     b.record_value(&format!("scale/{label}/load_streamed_peak_bytes"), stream_peak as u128);
 
-    // Peak-RSS assertions (the CI scale-smoke gate). Only meaningful once
+    // Peak-RSS assertion (the CI scale-smoke gate). Only meaningful once
     // the graph dwarfs constant-size scratch, so gate on 500k edges.
     if m >= 500_000 {
-        assert!(
-            stream_peak <= buf_peak,
-            "scale/{label}: streaming loader peak ({stream_peak} B) exceeds the \
-             buffered parser's ({buf_peak} B)"
-        );
         assert!(
             (stream_peak as f64) <= 2.0 * csr_bytes as f64,
             "scale/{label}: streaming loader peak ({stream_peak} B) exceeds 2x \
@@ -97,17 +81,7 @@ fn run_size(b: &mut BenchSuite, label: &str, target_m: usize) {
         );
     }
 
-    // Compressed CSR: footprint and the round-trip cost of packing the
-    // finest level and decoding it back.
     drop(file);
-    let (packed, pack_ns, _) = measured(|| PackedCsr::pack(&gs));
-    b.record_value(&format!("scale/{label}/packed_bytes"), packed.bytes() as u128);
-    b.record_value(&format!("scale/{label}/pack_ns"), pack_ns);
-    let (gu, unpack_ns, _) = measured(|| packed.to_csr());
-    b.record_value(&format!("scale/{label}/unpack_ns"), unpack_ns);
-    assert_eq!(gu.m(), m, "scale/{label}: compressed round-trip changed the graph");
-    drop(gu);
-    drop(packed);
 
     // Partition (serial Metis, k = 8): wall time, the paper-testbed
     // modeled time, and the engine's peak working set above the graph.

@@ -1,11 +1,11 @@
 //! Graph file I/O.
 //!
-//! Supports the Metis `.graph` format (used by DIMACS10 and all Metis
-//! tools) for both reading and writing, and the DIMACS9 shortest-path
-//! `.gr` format (used by the USA-roads input) for reading. This lets the
-//! benchmark harness run on the paper's real inputs when the files are
-//! available, while the generators in [`crate::gen`] provide offline
-//! stand-ins.
+//! Writes the Metis `.graph` format (used by DIMACS10 and all Metis
+//! tools), which [`crate::stream`] reads back, and reads the DIMACS9
+//! shortest-path `.gr` format (used by the USA-roads input) and Metis
+//! `.part` partition files. This lets the benchmark harness run on the
+//! paper's real inputs when the files are available, while the
+//! generators in [`crate::gen`] provide offline stand-ins.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, Vid};
@@ -16,8 +16,11 @@ use std::path::Path;
 #[derive(Debug)]
 pub enum IoError {
     Io(std::io::Error),
+    /// A malformed file: `line` is the 1-based file line at fault, or
+    /// `None` for an error of the whole file (a count that does not add
+    /// up, a missing header).
     Parse {
-        line: usize,
+        line: Option<usize>,
         msg: String,
     },
     /// The header declares more edges than the compiled index width can
@@ -32,7 +35,10 @@ impl std::fmt::Display for IoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IoError::Io(e) => write!(f, "io error: {e}"),
-            IoError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
+            IoError::Parse { line: Some(line), msg } => {
+                write!(f, "parse error at line {line}: {msg}")
+            }
+            IoError::Parse { line: None, msg } => write!(f, "parse error: {msg}"),
             IoError::TooLarge { m, max } => {
                 write!(f, "graph has {m} edges but this build supports at most {max}")?;
                 if cfg!(not(feature = "idx64")) {
@@ -52,8 +58,19 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-fn parse_err<T>(line: usize, msg: impl Into<String>) -> Result<T, IoError> {
-    Err(IoError::Parse { line, msg: msg.into() })
+/// A parse error at 1-based file line `line`.
+fn line_err(line: usize, msg: impl std::fmt::Display) -> IoError {
+    IoError::Parse { line: Some(line), msg: msg.to_string() }
+}
+
+/// [`line_err`] as a result.
+pub(crate) fn parse_err<T>(line: usize, msg: impl std::fmt::Display) -> Result<T, IoError> {
+    Err(line_err(line, msg))
+}
+
+/// An error of the whole file, not of one line.
+pub(crate) fn file_err<T>(msg: impl std::fmt::Display) -> Result<T, IoError> {
+    Err(IoError::Parse { line: None, msg: msg.to_string() })
 }
 
 /// Hard cap on header-declared sizes: vertex ids must fit [`Vid`] and the
@@ -73,121 +90,6 @@ pub(crate) fn check_header_dims(line: usize, n: usize, m: usize) -> Result<(), I
         return Err(IoError::TooLarge { m, max: MAX_M });
     }
     Ok(())
-}
-
-/// Read a Metis `.graph` file from any reader.
-///
-/// Header: `n m [fmt [ncon]]` where fmt is a 3-digit flag string: 1xx =
-/// vertex sizes (unsupported), x1x = vertex weights, xx1 = edge weights.
-/// Vertex ids in the file are 1-based.
-pub fn read_metis<R: BufRead>(r: R) -> Result<CsrGraph, IoError> {
-    let mut lines = r.lines().enumerate();
-    // find header (skip comments)
-    let (hline_no, header) = loop {
-        match lines.next() {
-            None => return parse_err(0, "empty file"),
-            Some((no, l)) => {
-                let l = l?;
-                let t = l.trim();
-                if !t.is_empty() && !t.starts_with('%') {
-                    break (no + 1, t.to_string());
-                }
-            }
-        }
-    };
-    let hparts: Vec<&str> = header.split_whitespace().collect();
-    if hparts.len() < 2 {
-        return parse_err(hline_no, "header needs at least `n m`");
-    }
-    let n: usize =
-        hparts[0].parse().map_err(|e| IoError::Parse { line: hline_no, msg: format!("{e}") })?;
-    let m: usize =
-        hparts[1].parse().map_err(|e| IoError::Parse { line: hline_no, msg: format!("{e}") })?;
-    check_header_dims(hline_no, n, m)?;
-    let fmt = if hparts.len() >= 3 { hparts[2] } else { "0" };
-    let fmt_num: u32 =
-        fmt.parse().map_err(|e| IoError::Parse { line: hline_no, msg: format!("bad fmt: {e}") })?;
-    let has_vsize = fmt_num / 100 % 10 == 1;
-    let has_vwgt = fmt_num / 10 % 10 == 1;
-    let has_ewgt = fmt_num % 10 == 1;
-    if has_vsize {
-        return parse_err(hline_no, "vertex sizes (fmt 1xx) not supported");
-    }
-    let ncon: usize = if hparts.len() >= 4 {
-        hparts[3].parse().map_err(|e| IoError::Parse { line: hline_no, msg: format!("{e}") })?
-    } else {
-        1
-    };
-    if ncon != 1 {
-        return parse_err(hline_no, "multi-constraint graphs (ncon > 1) not supported");
-    }
-
-    let mut b = GraphBuilder::new(n);
-    let mut vwgt = vec![1u32; n];
-    let mut u = 0usize;
-    for (no, l) in lines {
-        let l = l?;
-        let t = l.trim();
-        if t.starts_with('%') {
-            continue;
-        }
-        if u >= n {
-            if t.is_empty() {
-                continue;
-            }
-            return parse_err(no + 1, "more vertex lines than n");
-        }
-        let mut toks = t.split_whitespace();
-        if has_vwgt {
-            match toks.next() {
-                None => {} // empty line: isolated vertex with default weight
-                Some(w) => {
-                    vwgt[u] = w
-                        .parse()
-                        .map_err(|e| IoError::Parse { line: no + 1, msg: format!("vwgt: {e}") })?;
-                }
-            }
-        }
-        while let Some(vtok) = toks.next() {
-            let v1: usize = vtok
-                .parse()
-                .map_err(|e| IoError::Parse { line: no + 1, msg: format!("neighbor: {e}") })?;
-            if v1 == 0 || v1 > n {
-                return parse_err(no + 1, format!("neighbor {v1} out of 1..={n}"));
-            }
-            let w: u32 = if has_ewgt {
-                match toks.next() {
-                    None => return parse_err(no + 1, "missing edge weight"),
-                    Some(wt) => wt
-                        .parse()
-                        .map_err(|e| IoError::Parse { line: no + 1, msg: format!("ewgt: {e}") })?,
-                }
-            } else {
-                1
-            };
-            let v = (v1 - 1) as Vid;
-            // Each undirected edge appears twice in the file; add it once.
-            if (u as Vid) < v {
-                b.add_edge(u as Vid, v, w);
-            }
-        }
-        u += 1;
-    }
-    if u != n {
-        return parse_err(0, format!("expected {n} vertex lines, found {u}"));
-    }
-    let g = b.vertex_weights(vwgt).build();
-    if g.m() != m {
-        // Metis counts each undirected edge once in the header.
-        return parse_err(0, format!("header said {m} edges, file contains {}", g.m()));
-    }
-    Ok(g)
-}
-
-/// Read a Metis `.graph` file from disk.
-pub fn read_metis_file(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
-    let f = std::fs::File::open(path)?;
-    read_metis(std::io::BufReader::new(f))
 }
 
 /// Write a graph in Metis `.graph` format (always writes both vertex and
@@ -243,8 +145,7 @@ pub fn read_partition_checked<R: BufRead>(
         if t.is_empty() {
             continue;
         }
-        let p =
-            t.parse::<u32>().map_err(|e| IoError::Parse { line: no + 1, msg: format!("{e}") })?;
+        let p = t.parse::<u32>().map_err(|e| line_err(no + 1, e))?;
         if let Some(k) = expect_k {
             if p >= k {
                 return parse_err(no + 1, format!("partition id {p} out of 0..{k}"));
@@ -272,12 +173,8 @@ pub fn read_dimacs9<R: BufRead>(r: R) -> Result<CsrGraph, IoError> {
             if parts.len() < 3 || parts[0] != "sp" {
                 return parse_err(no + 1, "expected `p sp n m`");
             }
-            n = parts[1]
-                .parse()
-                .map_err(|e| IoError::Parse { line: no + 1, msg: format!("{e}") })?;
-            let m: usize = parts[2]
-                .parse()
-                .map_err(|e| IoError::Parse { line: no + 1, msg: format!("{e}") })?;
+            n = parts[1].parse().map_err(|e| line_err(no + 1, e))?;
+            let m: usize = parts[2].parse().map_err(|e| line_err(no + 1, e))?;
             check_header_dims(no + 1, n, m)?;
             b = Some(GraphBuilder::new(n));
         } else if let Some(rest) = t.strip_prefix("a ") {
@@ -289,15 +186,9 @@ pub fn read_dimacs9<R: BufRead>(r: R) -> Result<CsrGraph, IoError> {
             if parts.len() < 3 {
                 return parse_err(no + 1, "expected `a u v w`");
             }
-            let u: usize = parts[0]
-                .parse()
-                .map_err(|e| IoError::Parse { line: no + 1, msg: format!("{e}") })?;
-            let v: usize = parts[1]
-                .parse()
-                .map_err(|e| IoError::Parse { line: no + 1, msg: format!("{e}") })?;
-            let w: u32 = parts[2]
-                .parse()
-                .map_err(|e| IoError::Parse { line: no + 1, msg: format!("{e}") })?;
+            let u: usize = parts[0].parse().map_err(|e| line_err(no + 1, e))?;
+            let v: usize = parts[1].parse().map_err(|e| line_err(no + 1, e))?;
+            let w: u32 = parts[2].parse().map_err(|e| line_err(no + 1, e))?;
             if u == 0 || v == 0 || u > n || v > n {
                 return parse_err(no + 1, "vertex id out of range");
             }
@@ -314,71 +205,14 @@ pub fn read_dimacs9<R: BufRead>(r: R) -> Result<CsrGraph, IoError> {
     }
     match b {
         Some(builder) => Ok(builder.build()),
-        None => parse_err(0, "no problem line"),
+        None => file_err("no problem line"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{delaunay_like, grid2d};
     use std::io::Cursor;
-
-    #[test]
-    fn metis_roundtrip_plain() {
-        let g = grid2d(5, 4);
-        let mut buf = Vec::new();
-        write_metis(&g, &mut buf).unwrap();
-        let g2 = read_metis(Cursor::new(buf)).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn metis_roundtrip_weighted() {
-        let g = GraphBuilder::from_weighted_edges(4, &[(0, 1, 3), (1, 2, 5), (2, 3, 1)])
-            .vertex_weights(vec![2, 4, 6, 8])
-            .build();
-        let mut buf = Vec::new();
-        write_metis(&g, &mut buf).unwrap();
-        let g2 = read_metis(Cursor::new(buf)).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn metis_roundtrip_random() {
-        let g = delaunay_like(400, 9);
-        let mut buf = Vec::new();
-        write_metis(&g, &mut buf).unwrap();
-        let g2 = read_metis(Cursor::new(buf)).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn metis_reads_unweighted_format() {
-        let txt = "% comment\n3 2\n2 3\n1\n1\n";
-        let g = read_metis(Cursor::new(txt)).unwrap();
-        assert_eq!(g.n(), 3);
-        assert_eq!(g.m(), 2);
-        assert_eq!(g.neighbors(0), &[1, 2]);
-    }
-
-    #[test]
-    fn metis_rejects_bad_neighbor() {
-        let txt = "2 1\n5\n1\n";
-        assert!(read_metis(Cursor::new(txt)).is_err());
-    }
-
-    #[test]
-    fn metis_rejects_edge_count_mismatch() {
-        let txt = "3 5\n2\n1 3\n2\n";
-        assert!(read_metis(Cursor::new(txt)).is_err());
-    }
-
-    #[test]
-    fn metis_rejects_empty() {
-        assert!(read_metis(Cursor::new("")).is_err());
-        assert!(read_metis(Cursor::new("% only comments\n")).is_err());
-    }
 
     #[test]
     fn dimacs9_reads_arcs_symmetrized() {
@@ -392,6 +226,9 @@ mod tests {
     #[test]
     fn dimacs9_rejects_arc_before_header() {
         assert!(read_dimacs9(Cursor::new("a 1 2 3\n")).is_err());
+        // a file with no problem line names no line
+        let err = read_dimacs9(Cursor::new("c only a comment\n")).unwrap_err();
+        assert_eq!(err.to_string(), "parse error: no problem line");
     }
 
     #[test]
@@ -415,34 +252,8 @@ mod tests {
         assert_eq!(ok, vec![0, 2, 1]);
         let err = read_partition_checked(Cursor::new("0\n3\n1\n"), Some(3)).unwrap_err();
         match err {
-            IoError::Parse { line, .. } => assert_eq!(line, 2),
+            IoError::Parse { line, .. } => assert_eq!(line, Some(2)),
             other => panic!("unexpected: {other}"),
         }
-    }
-
-    #[cfg(not(feature = "idx64"))]
-    #[test]
-    fn oversized_edge_count_is_too_large() {
-        // 3e9 edges: 2m does not fit a u32 offset
-        let err = read_metis(Cursor::new("4 3000000000\n")).unwrap_err();
-        match err {
-            IoError::TooLarge { m, .. } => {
-                assert_eq!(m, 3_000_000_000);
-                assert!(format!("{err}").contains("idx64"));
-            }
-            other => panic!("unexpected: {other}"),
-        }
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let g = grid2d(3, 3);
-        let dir = std::env::temp_dir().join("gpm_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("g.graph");
-        write_metis_file(&g, &p).unwrap();
-        let g2 = read_metis_file(&p).unwrap();
-        assert_eq!(g, g2);
-        std::fs::remove_file(&p).ok();
     }
 }

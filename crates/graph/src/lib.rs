@@ -4,8 +4,10 @@
 //! (the paper stores graphs as the four arrays `adjp`/`adjncy`/`adjwgt`/
 //! `vwgt`; we use the Metis names `xadj`/`adjncy`/`adjwgt`/`vwgt`),
 //! synthetic workload generators standing in for the DIMACS inputs,
-//! Metis-format I/O, partition-quality metrics, and small deterministic
-//! RNG helpers shared by every crate in the workspace.
+//! graph I/O (one METIS reader, the streaming [`read_metis_mmap`] /
+//! [`read_metis_streamed`], plus the writers and the DIMACS9 and
+//! partition readers in [`io`]), partition-quality metrics, and small
+//! deterministic RNG helpers shared by every crate in the workspace.
 
 pub mod analysis;
 pub mod boundary;
@@ -17,7 +19,6 @@ pub mod gen;
 pub mod io;
 pub mod metrics;
 pub mod mmap;
-pub mod packed;
 pub mod rng;
 pub mod stream;
 pub mod subgraph;
@@ -27,5 +28,4 @@ pub use builder::GraphBuilder;
 pub use coarsen_ws::{check_contraction, CoarsenWorkspace, EpochSlots};
 pub use csr::{AtomicVid, CsrGraph, GraphIndex, Vid};
 pub use metrics::{comm_volume, edge_cut, imbalance, part_weights, validate_partition};
-pub use packed::PackedCsr;
 pub use stream::{read_metis_mmap, read_metis_streamed};

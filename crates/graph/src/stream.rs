@@ -1,11 +1,9 @@
-//! Streaming two-pass METIS loader for out-of-core graph sizes.
+//! The METIS `.graph` reader: a streaming two-pass loader.
 //!
-//! [`crate::io::read_metis`] materializes the file through a `BufRead`
-//! line iterator and a [`crate::builder::GraphBuilder`], whose edge list
-//! plus double-sized scatter arrays peak at roughly 3–4x the final CSR.
-//! This loader parses the raw bytes in place (memory-mapped via
+//! The loader parses the raw bytes in place (memory-mapped via
 //! [`crate::mmap::FileBytes`] or any `&[u8]`) with a zero-copy scanner in
-//! two passes over newline-aligned chunks on the [`gpm_pool`] executor:
+//! two passes over newline-aligned chunks on the [`gpm_pool`] executor,
+//! and allocates little beyond the CSR it returns:
 //!
 //! 1. **Count** — each chunk parses its vertex lines, validating tokens
 //!    and recording per-line degree and vertex weight. Chunk results are
@@ -19,20 +17,17 @@
 //!    contiguous, so the final arrays split cleanly with `split_at_mut`).
 //!
 //! A finalize pass then sorts each row by neighbor id (edge-balanced row
-//! chunks via [`gpm_pool::chunks_by_prefix`]) and verifies the file was
-//! well-formed: no duplicate neighbors, no self-loops, and every edge
-//! mirrored with an equal weight. The result is **byte-identical** to the
-//! serial parser on every well-formed file — pinned by the property suite
-//! in `tests/prop_stream.rs`. Inputs the serial parser silently *repairs*
-//! (duplicate entries it merges, asymmetric rows it drops or adopts
-//! one-sided, self-loops it ignores) are rejected with a typed parse
-//! error instead: the streaming loader never produces output that differs
-//! from `read_metis`; it either matches it or refuses. Tokens are scanned
-//! as ASCII (the format is ASCII; `\r` counts as whitespace, so Windows
-//! line endings parse identically).
+//! chunks via [`gpm_pool::chunks_by_prefix`]) and verifies the file is
+//! canonical: no duplicate neighbors, no self-loops, and every edge
+//! mirrored with an equal weight. Every file [`crate::io::write_metis`]
+//! writes reads back as exactly the graph it was written from (pinned by
+//! `tests/prop_io.rs`); a file that is not canonical is rejected with a
+//! typed parse error, never repaired into a different graph. Tokens are
+//! scanned as ASCII (the format is ASCII; `\r` counts as whitespace, so
+//! Windows line endings parse identically).
 
 use crate::csr::{CsrGraph, Vid};
-use crate::io::{check_header_dims, IoError};
+use crate::io::{check_header_dims, file_err, parse_err, IoError};
 use crate::mmap::FileBytes;
 use std::path::Path;
 use std::sync::Mutex;
@@ -40,10 +35,6 @@ use std::sync::Mutex;
 /// Minimum bytes per parse chunk: below this, chunk bookkeeping costs
 /// more than the parallelism returns.
 const MIN_CHUNK: usize = 64 << 10;
-
-fn parse_err<T>(line: usize, msg: impl Into<String>) -> Result<T, IoError> {
-    Err(IoError::Parse { line, msg: msg.into() })
-}
 
 #[inline]
 fn is_space(b: u8) -> bool {
@@ -122,7 +113,7 @@ fn classify(line: &[u8]) -> LineKind {
 
 /// Iterate the lines of a `\n`-delimited byte region. Unlike a bare
 /// `split(b'\n')` this does not yield a phantom empty line after a
-/// trailing newline, so line counts match the `BufRead` reader's.
+/// trailing newline, so line numbers match the file's.
 fn lines(region: &[u8]) -> impl Iterator<Item = &[u8]> {
     let region = match region.last() {
         Some(b'\n') => &region[..region.len() - 1],
@@ -143,8 +134,8 @@ struct MetisHeader {
     data_first_line: usize,
 }
 
-/// Find and parse the header line (same acceptance as the serial
-/// reader: comments and blank lines may precede it).
+/// Find and parse the header line (comments and blank lines may
+/// precede it).
 fn metis_header(bytes: &[u8]) -> Result<MetisHeader, IoError> {
     let mut pos = 0usize;
     let mut line_no = 0usize;
@@ -201,7 +192,7 @@ fn metis_header(bytes: &[u8]) -> Result<MetisHeader, IoError> {
             }
         }
     }
-    parse_err(0, "empty file")
+    file_err("empty file")
 }
 
 /// Split `bytes` at `\n` boundaries into roughly equal chunks sized for
@@ -355,10 +346,12 @@ fn find_data_line(data: &[u8], first_line: usize, target_idx: usize) -> usize {
 
 /// Parse a Metis `.graph` byte buffer with the parallel two-pass scanner.
 ///
-/// The result is byte-identical to [`crate::io::read_metis`] on any
-/// well-formed file; files the serial parser would silently repair
-/// (duplicate neighbors, unmirrored edges, self-loops) are rejected with
-/// a typed [`IoError::Parse`] instead of a silently different graph.
+/// Header: `n m [fmt [ncon]]` where fmt is a 3-digit flag string: 1xx =
+/// vertex sizes (unsupported), x1x = vertex weights, xx1 = edge weights.
+/// Vertex ids in the file are 1-based, and every undirected edge is
+/// listed in both endpoint lines with one weight. A file that is not
+/// canonical (duplicate neighbors, unmirrored edges, self-loops) is a
+/// typed [`IoError::Parse`], never a silently repaired graph.
 pub fn read_metis_streamed(bytes: &[u8]) -> Result<CsrGraph, IoError> {
     let hdr = metis_header(bytes)?;
     let n = hdr.n;
@@ -406,8 +399,8 @@ pub fn read_metis_streamed(bytes: &[u8]) -> Result<CsrGraph, IoError> {
                     vwgt[u] = row.vwgt;
                     total_deg += row.deg as u64;
                 } else if !row.blank {
-                    // trailing non-blank lines: same error as the serial
-                    // reader, with the exact line recovered serially
+                    // trailing non-blank lines: the exact line is
+                    // recovered serially
                     let lineno = find_data_line(data, hdr.data_first_line, u);
                     return parse_err(lineno, "more vertex lines than n");
                 }
@@ -415,17 +408,18 @@ pub fn read_metis_streamed(bytes: &[u8]) -> Result<CsrGraph, IoError> {
             }
         }
         if u < n {
-            return parse_err(0, format!("expected {n} vertex lines, found {u}"));
+            return file_err(format!("expected {n} vertex lines, found {u}"));
         }
     }
     // Check the total against the header *before* the prefix sum: the
     // header cap guarantees 2m fits a `Vid`, so a passing file cannot
     // overflow the offsets (each undirected edge must appear twice).
     if total_deg != 2 * hdr.m as u64 {
-        return parse_err(
-            0,
-            format!("header said {} edges, file contains {}", hdr.m, total_deg / 2),
-        );
+        return file_err(format!(
+            "header said {} edges ({} neighbor entries), file lists {total_deg} neighbor entries",
+            hdr.m,
+            2 * hdr.m as u64
+        ));
     }
     for u in 0..n {
         xadj[u + 1] += xadj[u];
@@ -516,10 +510,10 @@ pub fn read_metis_streamed(bytes: &[u8]) -> Result<CsrGraph, IoError> {
         };
         if let Some((u, v)) = dup.into_iter().flatten().next() {
             return parse_err(
-                0,
+                find_data_line(data, hdr.data_first_line, u as usize),
                 format!(
-                    "duplicate neighbor {} in the list of vertex {} (the serial reader merges \
-                     these; re-export the file with merged edges)",
+                    "duplicate neighbor {} in the list of vertex {} (re-export the file with \
+                     merged edges)",
                     v + 1,
                     u + 1
                 ),
@@ -552,7 +546,7 @@ pub fn read_metis_streamed(bytes: &[u8]) -> Result<CsrGraph, IoError> {
         };
         if let Some((u, v)) = bad.into_iter().flatten().next() {
             return parse_err(
-                0,
+                find_data_line(data, hdr.data_first_line, u),
                 format!(
                     "edge ({}, {}) is not mirrored with an equal weight (the file must list \
                      every undirected edge in both endpoint lines)",
@@ -578,44 +572,42 @@ pub fn read_metis_mmap(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::gen::{delaunay_like, grid2d, rmat};
-    use crate::io::{read_metis, write_metis};
-    use std::io::Cursor;
+    use crate::io::write_metis;
 
-    fn roundtrip_both(g: &CsrGraph) {
+    fn roundtrip(g: &CsrGraph) {
         let mut buf = Vec::new();
         write_metis(g, &mut buf).unwrap();
-        let serial = read_metis(Cursor::new(&buf)).unwrap();
-        let streamed = read_metis_streamed(&buf).unwrap();
-        assert_eq!(&serial, g);
-        assert_eq!(streamed.xadj, serial.xadj);
-        assert_eq!(streamed.adjncy, serial.adjncy);
-        assert_eq!(streamed.adjwgt, serial.adjwgt);
-        assert_eq!(streamed.vwgt, serial.vwgt);
+        assert_eq!(&read_metis_streamed(&buf).unwrap(), g);
     }
 
     #[test]
-    fn byte_identical_on_generated_graphs() {
-        roundtrip_both(&grid2d(17, 9));
-        roundtrip_both(&delaunay_like(500, 3));
-        roundtrip_both(&rmat(8, 7, 11));
+    fn roundtrips_generated_and_weighted_graphs() {
+        roundtrip(&grid2d(17, 9));
+        roundtrip(&delaunay_like(500, 3));
+        roundtrip(&rmat(8, 7, 11));
+        roundtrip(
+            &GraphBuilder::from_weighted_edges(4, &[(0, 1, 3), (1, 2, 5), (2, 3, 1)])
+                .vertex_weights(vec![2, 4, 6, 8])
+                .build(),
+        );
     }
 
     #[test]
     fn handles_comments_blank_lines_and_crlf() {
         let txt = "% header comment\r\n3 2\r\n% mid comment\r\n2 3\r\n1\r\n1\r\n\r\n";
         let g = read_metis_streamed(txt.as_bytes()).unwrap();
-        let s = read_metis(Cursor::new(txt)).unwrap();
-        assert_eq!(g, s);
+        assert_eq!((g.n(), g.m()), (3, 2));
         assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.vwgt, vec![1, 1, 1]);
+        assert_eq!(g.adjwgt, vec![1; 4]);
     }
 
     #[test]
     fn blank_line_is_isolated_vertex() {
-        let txt = "3 1\n2\n1\n\n";
-        let g = read_metis_streamed(txt.as_bytes()).unwrap();
-        let s = read_metis(Cursor::new(txt)).unwrap();
-        assert_eq!(g, s);
+        let g = read_metis_streamed(b"3 1\n2\n1\n\n").unwrap();
+        assert_eq!((g.n(), g.m()), (3, 1));
         assert_eq!(g.degree(2), 0);
     }
 
@@ -636,19 +628,39 @@ mod tests {
 
     #[test]
     fn trailing_blank_lines_are_ignored() {
-        let txt = "2 1\n2\n1\n\n\n\n";
-        let g = read_metis_streamed(txt.as_bytes()).unwrap();
-        let s = read_metis(Cursor::new(txt)).unwrap();
-        assert_eq!(g, s);
-        assert_eq!(g.n(), 2);
+        let g = read_metis_streamed(b"2 1\n2\n1\n\n\n\n").unwrap();
+        assert_eq!((g.n(), g.m()), (2, 1));
     }
 
     #[test]
     fn error_lines_match_the_file() {
+        let msg = |txt: &[u8]| read_metis_streamed(txt).unwrap_err().to_string();
         // bad neighbor id on file line 3 (comment is line 1, header line 2)
-        let err = read_metis_streamed(b"% c\n2 1\n9\n1\n").unwrap_err();
-        match err {
-            IoError::Parse { line, .. } => assert_eq!(line, 3),
+        assert!(msg(b"% c\n2 1\n9\n1\n").starts_with("parse error at line 3: "));
+        // (1, 2) is listed only in vertex 1's row, file line 2
+        assert!(
+            msg(b"3 1\n2\n3\n\n").starts_with("parse error at line 2: edge (1, 2) is not mirrored")
+        );
+        // a comment shifts vertex 2's row to file line 4
+        assert!(msg(b"3 3\n2\n% c\n1 3 3\n2 2\n")
+            .starts_with("parse error at line 4: duplicate neighbor 3 in the list of vertex 2"));
+        // whole-file errors name no line; the count error counts entries
+        assert_eq!(
+            msg(b"3 2\n2\n1 3\n\n"),
+            "parse error: header said 2 edges (4 neighbor entries), file lists 3 neighbor entries"
+        );
+        assert_eq!(msg(b"3 2\n2 3\n1\n"), "parse error: expected 3 vertex lines, found 2");
+        assert_eq!(msg(b"% only comments\n"), "parse error: empty file");
+    }
+
+    #[cfg(not(feature = "idx64"))]
+    #[test]
+    fn oversized_edge_count_is_too_large() {
+        // 3e9 edges: 2m does not fit a u32 offset
+        match read_metis_streamed(b"4 3000000000\n").unwrap_err() {
+            err @ IoError::TooLarge { m: 3_000_000_000, .. } => {
+                assert!(err.to_string().contains("idx64"))
+            }
             other => panic!("unexpected: {other}"),
         }
     }

@@ -11,7 +11,7 @@ use gp_metis_repro::graph::metrics::{comm_volume, edge_cut, imbalance};
 fn main() {
     // 1. A graph: here a 50k-vertex planar triangulation (stand-in for
     //    the paper's delaunay_n20 input); swap in your own CsrGraph or
-    //    load a Metis file with `graph::io::read_metis_file`.
+    //    load a Metis file with `graph::stream::read_metis_mmap`.
     let g = delaunay_like(50_000, 42);
     println!("graph: {:?}", g);
 

@@ -11,8 +11,9 @@
 
 use gp_metis_repro::gpmetis::{self, GpMetisConfig};
 use gp_metis_repro::graph::gen::usa_roads_like;
-use gp_metis_repro::graph::io::{read_metis_file, write_metis_file};
+use gp_metis_repro::graph::io::write_metis_file;
 use gp_metis_repro::graph::metrics::{edge_cut, imbalance};
+use gp_metis_repro::graph::stream::read_metis_mmap;
 
 fn main() {
     let k = 64;
@@ -21,11 +22,12 @@ fn main() {
     let g = usa_roads_like(200_000, 99);
     println!("road network: {:?}", g);
 
-    // Round-trip through the Metis file format (drop your own .graph
-    // files in the same place to partition them).
+    // Round-trip through the Metis file format with the streaming
+    // loader (drop your own .graph files in the same place to partition
+    // them).
     let path = std::env::temp_dir().join("usa_roads_like.graph");
     write_metis_file(&g, &path).expect("write");
-    let g = read_metis_file(&path).expect("read");
+    let g = read_metis_mmap(&path).expect("read");
     println!("round-tripped through {}", path.display());
 
     let r = gpmetis::partition(&g, &GpMetisConfig::new(k).with_seed(3))

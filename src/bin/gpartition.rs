@@ -5,8 +5,7 @@
 //! gpartition <graph.metis> <k> [--algo gpmetis|metis|mtmetis|parmetis]
 //!            [--ub 1.03] [--seed 1] [--threads 8] [--ranks 8]
 //!            [--gpu-threshold N] [--fallback] [--output out.part] [--quiet]
-//!            [--mmap] [--compressed] [--eval existing.part]
-//!            [--devices D] [--interconnect pcie|nvlink]
+//!            [--eval existing.part] [--devices D] [--interconnect pcie|nvlink]
 //!            [--timeline]
 //! ```
 //!
@@ -14,14 +13,13 @@
 //! path ends in `.gr`); the output (with `--output`) is one partition id
 //! per line, in vertex order — the same format Metis writes.
 //!
-//! Large graphs: `--mmap` loads `.graph` files through the streaming
-//! memory-mapped parser (identical CSR, a fraction of the load-time peak
-//! RSS); `--compressed` routes the graph through the varint-compressed
-//! [`PackedCsr`] form and reports the compression; `--eval p.part` skips
-//! partitioning and scores an existing partition file instead (labels
-//! validated against `k`). The run always reports its peak heap use.
-//!
-//! [`PackedCsr`]: gp_metis_repro::graph::packed::PackedCsr
+//! `.graph` files load through the memory-mapped streaming loader
+//! ([`read_metis_mmap`]), which rejects a file that is not canonical
+//! METIS (duplicate neighbors, an edge listed by one endpoint only,
+//! self-loops) rather than partition a repaired graph. `--eval p.part`
+//! skips partitioning and scores an existing partition file instead
+//! (labels validated against `k`). The run always reports its peak heap
+//! use.
 //!
 //! Overlap: the gpmetis engines evaluate an overlap-aware execution
 //! timeline (streams, double-buffered transfers, comm/compute overlap —
@@ -61,7 +59,6 @@ use gp_metis_repro::gpu::LinkConfig;
 use gp_metis_repro::graph::csr::CsrGraph;
 use gp_metis_repro::graph::io;
 use gp_metis_repro::graph::metrics::{comm_volume, edge_cut, imbalance};
-use gp_metis_repro::graph::packed::PackedCsr;
 use gp_metis_repro::graph::stream::read_metis_mmap;
 use gp_metis_repro::serve::protocol::{Algo, JobRequest};
 use gp_metis_repro::{metis, mtmetis, parmetis};
@@ -79,8 +76,6 @@ struct Args {
     req: JobRequest,
     output: Option<String>,
     quiet: bool,
-    mmap: bool,
-    compressed: bool,
     eval: Option<String>,
     devices: Option<usize>,
     interconnect: Option<String>,
@@ -92,8 +87,8 @@ fn usage() -> ! {
         "usage: gpartition <graph.metis|graph.gr> <k> [--algo gpmetis|metis|mtmetis|parmetis]\n\
          \x20                [--ub 1.03] [--seed 1] [--threads 8] [--ranks 8]\n\
          \x20                [--gpu-threshold N] [--fallback] [--output out.part] [--quiet]\n\
-         \x20                [--mmap] [--compressed] [--eval existing.part]\n\
-         \x20                [--devices D] [--interconnect pcie|nvlink] [--timeline]"
+         \x20                [--eval existing.part] [--devices D] [--interconnect pcie|nvlink]\n\
+         \x20                [--timeline]"
     );
     std::process::exit(2);
 }
@@ -107,8 +102,6 @@ fn parse_args() -> Result<Args, FlagError> {
         req: JobRequest::new(CsrGraph::empty(), k),
         output: None,
         quiet: false,
-        mmap: false,
-        compressed: false,
         eval: None,
         devices: None,
         interconnect: None,
@@ -119,8 +112,6 @@ fn parse_args() -> Result<Args, FlagError> {
             "--timeline" => a.timeline = true,
             "--output" => a.output = Some(argv.next().unwrap_or_else(|| usage())),
             "--quiet" => a.quiet = true,
-            "--mmap" => a.mmap = true,
-            "--compressed" => a.compressed = true,
             "--eval" => a.eval = Some(argv.next().unwrap_or_else(|| usage())),
             "--devices" => {
                 a.devices =
@@ -162,39 +153,20 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let mut a = parse_args().map_err(|e| e.to_string())?;
     check_flags(&a)?;
-    let mut g = if a.input.ends_with(".gr") {
+    let (g, loader) = if a.input.ends_with(".gr") {
         let f =
             std::fs::File::open(&a.input).map_err(|e| format!("cannot open {}: {e}", a.input))?;
-        io::read_dimacs9(std::io::BufReader::new(f))
-    } else if a.mmap {
-        read_metis_mmap(&a.input)
+        (io::read_dimacs9(std::io::BufReader::new(f)), "DIMACS9")
     } else {
-        io::read_metis_file(&a.input)
-    }
-    .map_err(|e| e.to_string())?;
+        (read_metis_mmap(&a.input), "streaming mmap")
+    };
+    let g = g.map_err(|e| e.to_string())?;
     if !a.quiet {
         eprintln!(
-            "read {:?} via {} loader (load peak heap {:.1} MiB)",
+            "read {:?} via {loader} loader (load peak heap {:.1} MiB)",
             g,
-            if a.mmap { "streaming mmap" } else { "buffered" },
             ALLOC.peak_bytes() as f64 / (1 << 20) as f64
         );
-    }
-
-    if a.compressed {
-        let csr_bytes = g.bytes();
-        let packed = PackedCsr::pack(&g);
-        if !a.quiet {
-            eprintln!(
-                "compressed     : {:.1} MiB packed vs {:.1} MiB CSR ({:.2}x)",
-                packed.bytes() as f64 / (1 << 20) as f64,
-                csr_bytes as f64 / (1 << 20) as f64,
-                csr_bytes as f64 / packed.bytes().max(1) as f64
-            );
-        }
-        // hold the graph in compressed form; decompress for the engines
-        drop(g);
-        g = packed.to_csr();
     }
 
     let k = a.req.k as usize;

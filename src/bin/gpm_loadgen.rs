@@ -116,9 +116,8 @@ fn run_submit(args: Vec<String>) -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
-    // Large submissions share the out-of-core path: the streaming mmap
-    // loader yields the same CSR as the buffered parser (pinned by the
-    // gpm-graph property suites) at a fraction of the load-time peak.
+    // The one METIS reader, gpartition's too: the streaming mmap loader,
+    // which rejects files that are not canonical METIS.
     req.graph = match read_metis_mmap(&input) {
         Ok(g) => g,
         Err(e) => {

@@ -121,6 +121,24 @@ fn cli_rejects_bad_input() {
     assert!(!out.status.success());
     let out = Command::new(bin()).args(["--help-me"]).output().unwrap();
     assert!(!out.status.success());
+    // edge (2, 3) is listed only in vertex 2's line: rejected, not repaired
+    let dir = std::env::temp_dir().join("gpm_cli_test6");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("one_sided.graph");
+    std::fs::write(&graph_path, "3 2\n2\n1 3\n\n").unwrap();
+    let path = graph_path.to_str().unwrap();
+    let out = Command::new(bin()).args([path, "2", "--algo", "metis"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: parse error") && !err.contains("panicked"), "{err}");
+    // the retired loader flags (mmap, compressed) are unknown options
+    for flag in ["mmap", "compressed"].map(|f| format!("--{f}")) {
+        let out = Command::new(bin()).args([path, "2", &flag]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(err.starts_with("usage: gpartition"), "{flag}: {err}");
+    }
+    std::fs::remove_file(&graph_path).ok();
 }
 
 #[test]

@@ -4,8 +4,9 @@
 
 use gp_metis_repro::graph::builder::GraphBuilder;
 use gp_metis_repro::graph::csr::{CsrGraph, Vid};
-use gp_metis_repro::graph::io::{read_metis, write_metis};
+use gp_metis_repro::graph::io::write_metis;
 use gp_metis_repro::graph::metrics::{comm_volume, edge_cut, imbalance, part_weights};
+use gp_metis_repro::graph::stream::read_metis_streamed;
 use gp_metis_repro::graph::subgraph::induced_subgraph;
 use gpm_testkit::{check, tk_assert, tk_assert_eq, Source};
 
@@ -34,7 +35,7 @@ fn metis_io_roundtrip() {
         let g = arb_graph(src);
         let mut buf = Vec::new();
         write_metis(&g, &mut buf).unwrap();
-        let g2 = read_metis(std::io::Cursor::new(buf)).unwrap();
+        let g2 = read_metis_streamed(&buf).unwrap();
         tk_assert_eq!(g, g2);
         Ok(())
     });
