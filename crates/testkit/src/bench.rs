@@ -7,11 +7,14 @@
 //! human-readable table and writes `BENCH_<suite>.json` so timing
 //! trajectories can be tracked across commits.
 //!
-//! Environment knobs:
+//! Environment knobs (a malformed value panics with the variable's name,
+//! never falls back to the default):
 //! * `GPM_BENCH_WARMUP` — warmup iterations per bench (default 3).
-//! * `GPM_BENCH_ITERS` — timed iterations per bench (default 15).
+//! * `GPM_BENCH_ITERS` — timed iterations per bench, at least 1
+//!   (default 15).
 //! * `GPM_BENCH_SCALE` — input-size multiplier benches apply via
-//!   [`scaled`] (default 1.0; CI uses a small fraction for a smoke run).
+//!   [`scaled`], finite and > 0 (default 1.0; CI uses a small fraction
+//!   for a smoke run).
 //! * `GPM_BENCH_DIR` — directory for the JSON file (default `.`, which
 //!   under `cargo bench` is the package root, `crates/bench`).
 
@@ -43,16 +46,44 @@ pub struct BenchSuite {
     records: Vec<BenchRecord>,
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+/// `(warmup, iters, scale)` from the values of `GPM_BENCH_WARMUP`,
+/// `GPM_BENCH_ITERS` and `GPM_BENCH_SCALE` (`None` = unset = default).
+/// Any value outside the domain is an error naming the variable.
+fn bench_vars(
+    warmup: Option<&str>,
+    iters: Option<&str>,
+    scale: Option<&str>,
+) -> Result<(usize, usize, f64), String> {
+    let bad = |key: &str, v: &str| format!("{key}: bad value {v:?}");
+    let count = |key: &str, v: Option<&str>, default: usize, min: usize| match v {
+        None => Ok(default),
+        Some(s) => s.parse().ok().filter(|&n| n >= min).ok_or_else(|| bad(key, s)),
+    };
+    let scale = match scale {
+        None => 1.0,
+        Some(s) => match s.parse::<f64>() {
+            Ok(f) if f.is_finite() && f > 0.0 => f,
+            _ => return Err(bad("GPM_BENCH_SCALE", s)),
+        },
+    };
+    Ok((count("GPM_BENCH_WARMUP", warmup, 3, 0)?, count("GPM_BENCH_ITERS", iters, 15, 1)?, scale))
+}
+
+/// [`bench_vars`] over the environment; panics on a bad value.
+fn bench_env() -> (usize, usize, f64) {
+    let var = |key| std::env::var(key).ok();
+    bench_vars(
+        var("GPM_BENCH_WARMUP").as_deref(),
+        var("GPM_BENCH_ITERS").as_deref(),
+        var("GPM_BENCH_SCALE").as_deref(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Apply the `GPM_BENCH_SCALE` multiplier to an input size (min 16, so
 /// scaled-down smoke runs still exercise the real code paths).
 pub fn scaled(n: usize) -> usize {
-    let factor: f64 =
-        std::env::var("GPM_BENCH_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    ((n as f64 * factor) as usize).max(16)
+    ((n as f64 * bench_env().2) as usize).max(16)
 }
 
 fn percentile(sorted: &[u128], q: f64) -> u128 {
@@ -65,12 +96,8 @@ impl BenchSuite {
     /// A suite named `suite`, reading warmup/iteration counts from the
     /// environment.
     pub fn new(suite: &str) -> Self {
-        BenchSuite {
-            suite: suite.to_string(),
-            warmup: env_usize("GPM_BENCH_WARMUP", 3),
-            iters: env_usize("GPM_BENCH_ITERS", 15),
-            records: Vec::new(),
-        }
+        let (warmup, iters, _) = bench_env();
+        BenchSuite { suite: suite.to_string(), warmup, iters, records: Vec::new() }
     }
 
     /// Time `f`: `warmup` untimed runs, then `iters` timed runs. The
@@ -92,7 +119,7 @@ impl BenchSuite {
         for _ in 0..self.warmup {
             black_box(f(&mut setup()));
         }
-        let iters = self.iters.max(1);
+        let iters = self.iters;
         let mut samples: Vec<u128> = Vec::with_capacity(iters);
         for _ in 0..iters {
             let mut input = setup();
@@ -476,6 +503,34 @@ mod tests {
         assert!(validate_bench_json(&bad.to_json()).unwrap_err().contains("inconsistent"));
         // not json at all
         assert!(validate_bench_json("hello").is_err());
+    }
+
+    #[test]
+    fn bench_vars_defaults_and_ci_values() {
+        assert_eq!(bench_vars(None, None, None), Ok((3, 15, 1.0)));
+        // the values ci.sh runs the smoke benches with
+        assert_eq!(bench_vars(Some("0"), Some("1"), Some("0.05")), Ok((0, 1, 0.05)));
+        assert_eq!(bench_vars(Some("0"), Some("1"), Some("0.1")), Ok((0, 1, 0.1)));
+    }
+
+    #[test]
+    fn bench_vars_reject_bad_values() {
+        let warmup = |v| bench_vars(Some(v), None, None).map(|c| c.0);
+        assert_eq!(warmup("0"), Ok(0));
+        for v in ["", "-1", "1.5", "one"] {
+            assert_eq!(warmup(v), Err(format!("GPM_BENCH_WARMUP: bad value {v:?}")), "{v:?}");
+        }
+        let iters = |v| bench_vars(None, Some(v), None).map(|c| c.1);
+        assert_eq!(iters("1"), Ok(1));
+        for v in ["0", "", "-1", "one"] {
+            assert_eq!(iters(v), Err(format!("GPM_BENCH_ITERS: bad value {v:?}")), "{v:?}");
+        }
+        let scale = |v| bench_vars(None, None, Some(v)).map(|c| c.2);
+        assert_eq!(scale("1e-9"), Ok(1e-9));
+        assert_eq!(scale("2"), Ok(2.0));
+        for v in ["0", "-0", "-0.1", "NaN", "inf", "", "0.1x"] {
+            assert_eq!(scale(v), Err(format!("GPM_BENCH_SCALE: bad value {v:?}")), "{v:?}");
+        }
     }
 
     #[test]
