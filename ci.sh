@@ -51,20 +51,12 @@ fi
 echo "eval_small.txt regenerates byte-identically"
 
 step "ablation tables (regenerate ablations.txt, byte-for-byte)"
-# The committed file is each ablation binary's default run, in this
-# order, with a header line before every section but the first and last.
-{
-    rel=./target/release
-    "$rel/ablation_coalescing"
-    echo "===CONTRACTION===";  "$rel/ablation_contraction"
-    echo "===THRESHOLD===";    "$rel/ablation_threshold"
-    echo "===ROUNDS===";       "$rel/ablation_match_rounds"
-    echo "===SCALING===";      "$rel/ablation_scaling"
-    echo "===LOCALITY===";     "$rel/ablation_locality"
-    "$rel/ablation_mode"
-} > "$smoke/ablations.txt" 2> /dev/null
+# The committed file is `evaluation ablations`: every ablation at its
+# default size, in the order and with the section headers of
+# gpm_bench::ablations::ALL.
+./target/release/evaluation ablations > "$smoke/ablations.txt" 2> /dev/null
 if ! diff -u ablations.txt "$smoke/ablations.txt"; then
-    echo "ERROR: ablations.txt differs from a fresh run of the ablation binaries" >&2
+    echo "ERROR: ablations.txt differs from a fresh evaluation ablations run" >&2
     exit 1
 fi
 echo "ablations.txt regenerates byte-identically"
@@ -333,29 +325,23 @@ grep -q "0 in flight" "$smoke/serve.log"
 echo "daemon exited 0 with a clean-shutdown summary (no leaked threads)"
 
 step "serve determinism matrix (GPM_THREADS x steal fuzz, identical partitions)"
-serve_matrix_run() { # serve_matrix_run <label> [env VAR=VAL...]
-    local label=$1; shift
-    env "$@" "$serve" --addr 127.0.0.1:0 --port-file "$smoke/port_$label" \
-        --workers 4 --queue 64 --cache 0 > "$smoke/serve_$label.log" 2>&1 &
-    local pid=$!
-    for _ in $(seq 1 100); do
-        [ -s "$smoke/port_$label" ] && break
-        sleep 0.1
-    done
-    local addr; addr=$(cat "$smoke/port_$label")
-    "$loadgen" submit "$addr" "$graph" 8 --seed 3 --gpu-threshold 400 \
+serve_matrix_run() { # serve_matrix_run <label>; the caller's env applies
+    local label=$1
+    start_daemon "$smoke/port_$label" --workers 4 --queue 64 --cache 0 \
+        > "$smoke/serve_$label.log" 2>&1
+    "$loadgen" submit "$daemon_addr" "$graph" 8 --seed 3 --gpu-threshold 400 \
         --output "$smoke/m_${label}_a.part" 2>/dev/null
-    "$loadgen" submit "$addr" "$graph" 8 --seed 5 --gpu-threshold 400 \
+    "$loadgen" submit "$daemon_addr" "$graph" 8 --seed 5 --gpu-threshold 400 \
         --output "$smoke/m_${label}_b.part" 2>/dev/null
-    "$loadgen" submit "$addr" "$graph" 8 --seed 3 --algo mtmetis \
+    "$loadgen" submit "$daemon_addr" "$graph" 8 --seed 3 --algo mtmetis \
         --output "$smoke/m_${label}_c.part" 2>/dev/null
-    "$loadgen" shutdown "$addr"
-    wait "$pid"
+    "$loadgen" shutdown "$daemon_addr"
+    wait "$daemon_pid"
 }
-serve_matrix_run t1 GPM_THREADS=1
-serve_matrix_run t4 GPM_THREADS=4
-serve_matrix_run t8 GPM_THREADS=8
-serve_matrix_run fuzz GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1
+GPM_THREADS=1 serve_matrix_run t1
+GPM_THREADS=4 serve_matrix_run t4
+GPM_THREADS=8 serve_matrix_run t8
+GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 serve_matrix_run fuzz
 for cfg in t4 t8 fuzz; do
     for j in a b c; do
         diff -q "$smoke/m_t1_$j.part" "$smoke/m_${cfg}_$j.part"
@@ -381,18 +367,12 @@ step "chaos smoke (self-healing: panic isolation, quarantine, breaker, hostile c
 # to prove the whole fault schedule is deterministic, and greps each
 # daemon log for the respawn evidence and a clean shutdown.
 for t in 1 4 8; do
-    rm -f "$smoke/port_chaos"
-    env GPM_THREADS=$t "$serve" --addr 127.0.0.1:0 --port-file "$smoke/port_chaos" \
-        --workers 2 --queue 64 --idle-ms 30000 --read-deadline-ms 30000 \
-        --max-frames 300 --breaker 3:8:4 > "$smoke/serve_chaos_$t.log" 2>&1 &
-    chaos_pid=$!
-    for _ in $(seq 1 100); do
-        [ -s "$smoke/port_chaos" ] && break
-        sleep 0.1
-    done
-    env GPM_THREADS=$t "$loadgen" chaos --addr "$(cat "$smoke/port_chaos")" \
+    GPM_THREADS=$t start_daemon "$smoke/port_chaos" --workers 2 --queue 64 \
+        --idle-ms 30000 --read-deadline-ms 30000 --max-frames 300 --breaker 3:8:4 \
+        > "$smoke/serve_chaos_$t.log" 2>&1
+    GPM_THREADS=$t "$loadgen" chaos --addr "$daemon_addr" \
         --seed 42 --breaker 3:8:4 > "$smoke/chaos_$t.txt" 2> "$smoke/chaos_${t}_err.txt"
-    wait "$chaos_pid"
+    wait "$daemon_pid"
     grep -q "clean shutdown" "$smoke/serve_chaos_$t.log"
     grep -q "2 panicked, 2 respawns" "$smoke/serve_chaos_$t.log"
 done

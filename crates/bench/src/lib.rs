@@ -1,7 +1,11 @@
 //! Shared driver for the reproduction harness: runs the paper's four
 //! partitioners over the four evaluation graphs and collects the numbers
-//! Tables II/III and Fig. 5 report.
+//! Tables II/III and Fig. 5 report, prints Table I, and parses the
+//! `evaluation` binary's subcommands.
 
+pub mod ablations;
+
+use ablations::Ablation;
 use gpm_graph::gen::{PaperGraph, SuiteScale};
 use gpm_metis::PartitionResult;
 use gpm_serve::protocol::JobRequest;
@@ -9,15 +13,11 @@ use gpm_serve::protocol::JobRequest;
 /// One partitioner's numbers on one graph.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// Partitioner name as the paper spells it.
-    pub name: &'static str,
     /// Final edge cut.
     pub edge_cut: u64,
     /// Modeled seconds on the paper's testbed (min over runs, as the
     /// paper reports the minimum of three experiments).
     pub modeled_seconds: f64,
-    /// Real wall seconds on this machine (informational).
-    pub wall_seconds: f64,
     /// Final imbalance.
     pub imbalance: f64,
 }
@@ -26,8 +26,6 @@ pub struct RunRecord {
 #[derive(Debug, Clone)]
 pub struct GraphResults {
     pub graph: PaperGraph,
-    pub n: usize,
-    pub m: usize,
     pub metis: RunRecord,
     pub parmetis: RunRecord,
     pub mtmetis: RunRecord,
@@ -35,11 +33,6 @@ pub struct GraphResults {
 }
 
 impl GraphResults {
-    /// The three parallel partitioners, in the paper's plotting order.
-    pub fn parallel(&self) -> [&RunRecord; 3] {
-        [&self.parmetis, &self.mtmetis, &self.gpmetis]
-    }
-
     /// Speedup of `r` over serial Metis (Fig. 5's y-axis).
     pub fn speedup(&self, r: &RunRecord) -> f64 {
         self.metis.modeled_seconds / r.modeled_seconds
@@ -97,6 +90,41 @@ impl EvalConfig {
     }
 }
 
+/// What one `evaluation` run prints: no arguments, `table1`,
+/// `ablations`, or `ablations <name> [n]` (one ablation, no header).
+#[derive(Debug)]
+pub enum Command {
+    Tables,
+    Table1,
+    AllAblations,
+    Ablation(&'static Ablation, usize),
+}
+
+/// Parse `evaluation`'s arguments (the program name excluded). An unknown
+/// subcommand or ablation, a size that is not an integer >= 1, and an
+/// extra argument are errors, never a silent default.
+pub fn parse_command<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
+    let args: Vec<&str> = args.iter().map(AsRef::as_ref).collect();
+    let ablation = |name: &str| {
+        ablations::ALL.iter().find(|a| a.name == name).ok_or_else(|| {
+            let names: Vec<&str> = ablations::ALL.iter().map(|a| a.name).collect();
+            format!("unknown ablation {name:?} (expected one of: {})", names.join(", "))
+        })
+    };
+    match args[..] {
+        [] => Ok(Command::Tables),
+        ["table1"] => Ok(Command::Table1),
+        ["ablations"] => Ok(Command::AllAblations),
+        ["ablations", name] => ablation(name).map(|a| Command::Ablation(a, a.n)),
+        ["ablations", name, n] => match (ablation(name)?, n.parse::<usize>()) {
+            (a, Ok(n)) if n >= 1 => Ok(Command::Ablation(a, n)),
+            _ => Err(format!("ablation size: bad value {n:?} (expected an integer >= 1)")),
+        },
+        ["table1", x, ..] | ["ablations", _, _, x, ..] => Err(format!("unexpected argument {x:?}")),
+        [cmd, ..] => Err(format!("unknown subcommand {cmd:?} (expected table1 or ablations)")),
+    }
+}
+
 /// The run of `f` with the least `score` over `cfg.runs` runs, run `i`
 /// (from 1) on seed `cfg.seed * 100 + i`.
 fn min_of<R>(
@@ -148,21 +176,17 @@ pub fn run_graph(pg: PaperGraph, mut job: JobRequest, cfg: &EvalConfig) -> Graph
         gp.gpu.gpu_levels
     );
 
-    let rec = |name: &'static str, r: &PartitionResult| RunRecord {
-        name,
+    let rec = |r: &PartitionResult| RunRecord {
         edge_cut: r.edge_cut,
         modeled_seconds: r.modeled_seconds(),
-        wall_seconds: r.wall_seconds,
         imbalance: r.imbalance,
     };
     GraphResults {
         graph: pg,
-        n,
-        m,
-        metis: rec("Metis", &metis),
-        parmetis: rec("ParMetis", &par),
-        mtmetis: rec("mt-metis", &mt),
-        gpmetis: rec("GP-Metis", &gp.result),
+        metis: rec(&metis),
+        parmetis: rec(&par),
+        mtmetis: rec(&mt),
+        gpmetis: rec(&gp.result),
     }
 }
 
@@ -175,8 +199,33 @@ pub fn run_suite(cfg: &EvalConfig) -> Vec<GraphResults> {
         .collect()
 }
 
-/// Print the Fig. 5 table: speedup over Metis per graph per partitioner.
-pub fn print_fig5(results: &[GraphResults]) {
+/// Print Table I: the input graphs at `cfg.scale`, alongside the real
+/// DIMACS sizes they stand in for.
+pub fn print_table1(cfg: &EvalConfig) {
+    println!("Table I — Input graphs (generated stand-ins at scale {:?})", cfg.scale);
+    println!(
+        "{:<12} {:>12} {:>12} {:>9} | {:>12} {:>12}  Description",
+        "Graph", "Vertices", "Edges", "AvgDeg", "Paper |V|", "Paper |E|"
+    );
+    for pg in PaperGraph::ALL {
+        let g = pg.generate(cfg.scale, cfg.seed);
+        println!(
+            "{:<12} {:>12} {:>12} {:>9.2} | {:>12} {:>12}  {}",
+            pg.name(),
+            g.n(),
+            g.m(),
+            g.avg_degree(),
+            pg.paper_vertices(),
+            pg.paper_edges(),
+            pg.description(),
+        );
+    }
+}
+
+/// Print the suite's results: Fig. 5 (speedup over Metis), Table II
+/// (modeled runtimes), Table III (edge-cut ratio to Metis) and every
+/// partitioner's final imbalance, per graph.
+pub fn print_results(results: &[GraphResults]) {
     println!("\nFig. 5 — Speedup of ParMetis, mt-metis, and GP-metis over Metis");
     println!("{:<12} {:>10} {:>10} {:>10}", "Graph", "ParMetis", "mt-metis", "GP-Metis");
     for r in results {
@@ -188,10 +237,6 @@ pub fn print_fig5(results: &[GraphResults]) {
             r.speedup(&r.gpmetis),
         );
     }
-}
-
-/// Print Table II: absolute runtimes in (modeled) seconds.
-pub fn print_table2(results: &[GraphResults]) {
     println!("\nTable II — Runtime (modeled seconds on the paper's testbed)");
     println!(
         "{:<12} {:>10} {:>10} {:>10} {:>10}",
@@ -207,10 +252,6 @@ pub fn print_table2(results: &[GraphResults]) {
             r.gpmetis.modeled_seconds,
         );
     }
-}
-
-/// Print Table III: edge-cut ratio relative to Metis.
-pub fn print_table3(results: &[GraphResults]) {
     println!("\nTable III — Edge-cut ratio in comparison to Metis");
     println!("{:<12} {:>10} {:>10} {:>10}", "Graph", "ParMetis", "mt-metis", "GP-Metis");
     for r in results {
@@ -222,11 +263,62 @@ pub fn print_table3(results: &[GraphResults]) {
             r.cut_ratio(&r.gpmetis),
         );
     }
+    println!("\n(imbalance check)");
+    for r in results {
+        println!(
+            "{:<12} Metis {:.3}  ParMetis {:.3}  mt-metis {:.3}  GP-Metis {:.3}",
+            r.graph.name(),
+            r.metis.imbalance,
+            r.parmetis.imbalance,
+            r.mtmetis.imbalance,
+            r.gpmetis.imbalance,
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The parse of `args`, rendered so a test can compare it.
+    fn parsed(args: &[&str]) -> Result<String, String> {
+        parse_command(args).map(|c| match c {
+            Command::Ablation(a, n) => format!("{} {n}", a.name),
+            other => format!("{other:?}"),
+        })
+    }
+
+    #[test]
+    fn parse_command_accepts_each_form() {
+        assert_eq!(parsed(&[]), Ok("Tables".into()));
+        assert_eq!(parsed(&["table1"]), Ok("Table1".into()));
+        assert_eq!(parsed(&["ablations"]), Ok("AllAblations".into()));
+        assert_eq!(parsed(&["ablations", "k"]), Ok("k 60000".into()));
+        assert_eq!(parsed(&["ablations", "match_rounds", "5000"]), Ok("match_rounds 5000".into()));
+        for a in &ablations::ALL {
+            assert_eq!(parsed(&["ablations", a.name]), Ok(format!("{} {}", a.name, a.n)));
+        }
+    }
+
+    #[test]
+    fn parse_command_rejects_everything_else() {
+        let size = |v: &str| format!("ablation size: bad value {v:?} (expected an integer >= 1)");
+        for v in ["6O000", "0", "-1", "1.5", "", "60_000"] {
+            assert_eq!(parsed(&["ablations", "k", v]), Err(size(v)), "{v:?}");
+        }
+        let err = parsed(&["ablations", "coalesce"]).unwrap_err();
+        assert!(err.starts_with(r#"unknown ablation "coalesce" (expected one of: coalescing, "#));
+        assert_eq!(
+            parsed(&["ablation"]),
+            Err(r#"unknown subcommand "ablation" (expected table1 or ablations)"#.into())
+        );
+        assert!(parsed(&["--help"]).unwrap_err().starts_with("unknown subcommand"));
+        let extra = Err(r#"unexpected argument "x""#.to_string());
+        assert_eq!(parsed(&["table1", "x"]), extra);
+        assert_eq!(parsed(&["ablations", "k", "100", "x"]), extra);
+        // an unknown name is reported before a bad size
+        assert!(parsed(&["ablations", "kk", "0"]).unwrap_err().starts_with("unknown ablation"));
+    }
 
     #[test]
     fn eval_config_env_defaults() {

@@ -9,6 +9,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, Vid};
+use std::collections::HashMap;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
@@ -157,11 +158,13 @@ pub fn read_partition_checked<R: BufRead>(
 }
 
 /// Read a DIMACS9 `.gr` file (`p sp n m` header, `a u v w` arc lines,
-/// 1-based ids). Arcs are symmetrized; duplicate arcs merged.
+/// 1-based ids). Arcs are symmetrized; an arc whose pair was already
+/// read with the same weight is merged. A self-loop, or a pair read again
+/// with a different weight, is an error naming its line.
 pub fn read_dimacs9<R: BufRead>(r: R) -> Result<CsrGraph, IoError> {
     let mut n = 0usize;
     let mut b: Option<GraphBuilder> = None;
-    let mut seen: std::collections::HashSet<(Vid, Vid)> = std::collections::HashSet::new();
+    let mut seen: HashMap<(Vid, Vid), u32> = HashMap::new();
     for (no, l) in r.lines().enumerate() {
         let l = l?;
         let t = l.trim();
@@ -193,11 +196,16 @@ pub fn read_dimacs9<R: BufRead>(r: R) -> Result<CsrGraph, IoError> {
                 return parse_err(no + 1, "vertex id out of range");
             }
             if u == v {
-                continue;
+                return parse_err(no + 1, format!("self-loop on vertex {u}"));
             }
             let (a, c) = ((u - 1) as Vid, (v - 1) as Vid);
-            if seen.insert((a.min(c), a.max(c))) {
+            let first = *seen.entry((a.min(c), a.max(c))).or_insert_with(|| {
                 builder.add_edge(a, c, w);
+                w
+            });
+            if first != w {
+                let msg = format!("arc {u} {v} has weight {w}, but the pair was read with {first}");
+                return parse_err(no + 1, msg);
             }
         } else {
             return parse_err(no + 1, format!("unrecognized line: {t}"));
@@ -221,6 +229,22 @@ mod tests {
         assert_eq!(g.n(), 3);
         assert_eq!(g.m(), 3); // (1,2) deduped
         assert_eq!(crate::metrics::edge_cut(&g, &[0, 1, 1]), 9); // edges (0,1)w7 + (0,2)w2
+    }
+
+    #[test]
+    fn dimacs9_rejects_self_loops_and_conflicting_weights() {
+        let line_of = |txt: &str| match read_dimacs9(Cursor::new(txt)) {
+            Err(IoError::Parse { line, msg }) => (line, msg),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        // the pair (1,2) is read as 5, then as 9: the first weight used to win
+        let (line, msg) = line_of("p sp 2 2\na 1 2 5\na 2 1 9\na 1 1 4\n");
+        assert_eq!(line, Some(3), "{msg}");
+        assert!(msg.contains("weight 9") && msg.contains("with 5"), "{msg}");
+        // the self-loop used to be dropped
+        let (line, msg) = line_of("p sp 2 2\na 1 2 5\na 2 1 5\na 1 1 4\n");
+        assert_eq!(line, Some(4), "{msg}");
+        assert!(msg.contains("self-loop"), "{msg}");
     }
 
     #[test]

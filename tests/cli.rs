@@ -142,6 +142,21 @@ fn cli_rejects_bad_input() {
 }
 
 #[test]
+fn cli_rejects_a_dimacs9_file_it_would_repair() {
+    // the pair (1,2) is read with two weights, then a self-loop follows:
+    // the first line at fault is named, nothing is repaired
+    let dir = std::env::temp_dir().join("gpm_cli_test7");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("w.gr");
+    std::fs::write(&graph_path, "p sp 2 2\na 1 2 5\na 2 1 9\na 1 1 4\n").unwrap();
+    let out = Command::new(bin()).args([graph_path.to_str().unwrap(), "2"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: parse error at line 3"), "{err}");
+    std::fs::remove_file(&graph_path).ok();
+}
+
+#[test]
 fn cli_rejects_out_of_domain_options() {
     let dir = std::env::temp_dir().join("gpm_cli_test4");
     std::fs::create_dir_all(&dir).unwrap();
