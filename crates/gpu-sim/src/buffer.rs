@@ -110,20 +110,6 @@ impl<T: DeviceWord> DBuf<T> {
         self.cells[i].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Atomic compare-and-swap on element `i`.
-    #[inline]
-    pub fn cas(&self, i: usize, current: T, new: T) -> Result<T, T> {
-        self.cells[i]
-            .compare_exchange(
-                current.to_bits(),
-                new.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .map(T::from_bits)
-            .map_err(T::from_bits)
-    }
-
     /// Copy contents out to a host vector (no cost accounting; use
     /// [`crate::device::Device::d2h`] for costed transfers).
     pub fn to_vec(&self) -> Vec<T> {
@@ -152,13 +138,6 @@ impl<T: DeviceInt> DBuf<T> {
     #[inline]
     pub fn fetch_add(&self, i: usize, v: T) -> T {
         T::from_bits(self.cells[i].fetch_add(v.to_bits(), Ordering::Relaxed))
-    }
-
-    /// Atomic max (on the unsigned bit pattern for `u32`, signed for
-    /// `i32` via compare loops).
-    #[inline]
-    pub fn fetch_max_u32(&self, i: usize, v: u32) -> u32 {
-        self.cells[i].fetch_max(v, Ordering::Relaxed)
     }
 }
 
@@ -205,15 +184,6 @@ mod tests {
         let (b, _c) = mk::<f32>(1);
         b.store(0, 3.5);
         assert_eq!(b.load(0), 3.5);
-    }
-
-    #[test]
-    fn cas_succeeds_and_fails() {
-        let (b, _c) = mk::<u32>(1);
-        b.store(0, 10);
-        assert_eq!(b.cas(0, 10, 20), Ok(10));
-        assert_eq!(b.cas(0, 10, 30), Err(20));
-        assert_eq!(b.load(0), 20);
     }
 
     #[test]

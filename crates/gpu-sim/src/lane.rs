@@ -103,28 +103,6 @@ impl<'a> Lane<'a> {
         buf.fetch_add(i, v)
     }
 
-    /// `atomicCAS`: returns `Ok(previous)` on success.
-    #[inline]
-    pub fn atomic_cas<T: DeviceWord>(
-        &mut self,
-        buf: &DBuf<T>,
-        i: usize,
-        current: T,
-        new: T,
-    ) -> Result<T, T> {
-        self.record(buf, i);
-        self.instr += 1;
-        buf.cas(i, current, new)
-    }
-
-    /// `atomicMax` on unsigned words.
-    #[inline]
-    pub fn atomic_max(&mut self, buf: &DBuf<u32>, i: usize, v: u32) -> u32 {
-        self.record(buf, i);
-        self.instr += 1;
-        buf.fetch_max_u32(i, v)
-    }
-
     /// Charge `n` pure-ALU instructions (sorting scratch data, hashing,
     /// arithmetic loops) that do not touch global memory.
     #[inline]
@@ -257,9 +235,8 @@ mod tests {
         let mut tr = Vec::new();
         let mut lane = mk_lane(&mut tr);
         assert_eq!(lane.atomic_add(&b, 0, 4), 0);
-        assert_eq!(lane.atomic_cas(&b, 0, 4, 9), Ok(4));
-        assert_eq!(lane.atomic_max(&b, 0, 100), 9);
-        assert_eq!(b.load(0), 100);
-        assert_eq!(lane.instructions(), 6); // 3 accesses x 2
+        assert_eq!(lane.atomic_add(&b, 0, 5), 4);
+        assert_eq!(b.load(0), 9);
+        assert_eq!(lane.instructions(), 4); // 2 accesses x 2
     }
 }

@@ -104,13 +104,6 @@ impl BoundaryTracker {
         self.rows.row(ui)
     }
 
-    /// Incident weight of `u` into partition `p` (0 when not adjacent).
-    /// Queries the cache, rebuilding it if stale.
-    pub fn weight_to(&mut self, g: &CsrGraph, part: &[u32], u: Vid, p: u32) -> i64 {
-        let (parts, wgts) = self.connectivity(g, part, u);
-        parts.iter().position(|&x| x == p).map_or(0, |i| wgts[i])
-    }
-
     /// Move `u` to partition `to`, updating `part` and all tracker state
     /// in O(deg(u)): the external counters of `u` and its neighbors and
     /// the cache validity of the touched neighborhood.

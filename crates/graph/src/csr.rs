@@ -346,11 +346,6 @@ impl CsrGraph {
         Ok(())
     }
 
-    /// Sum of edge weights incident to `u` (the `adjwgtsum` of Metis).
-    pub fn adjwgt_sum(&self, u: Vid) -> u64 {
-        self.neighbor_weights(u).iter().map(|&w| w as u64).sum()
-    }
-
     /// True if all edge weights are equal. O(m) on the first call, then
     /// cached — see the `uniform_ew` field note about in-place mutation.
     pub fn uniform_edge_weights(&self) -> bool {
@@ -436,7 +431,6 @@ mod tests {
         nb.sort_unstable();
         assert_eq!(nb, vec![0, 2]);
         assert_eq!(g.neighbor_weights(1), &[1, 1]);
-        assert_eq!(g.adjwgt_sum(1), 2);
     }
 
     #[test]

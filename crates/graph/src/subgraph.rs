@@ -46,12 +46,6 @@ pub fn induced_subgraph(g: &CsrGraph, select: &[bool]) -> (CsrGraph, Vec<Vid>) {
     (sub, new_to_old)
 }
 
-/// Extract the subgraph induced by vertices whose `part[u] == which`.
-pub fn subgraph_of_part(g: &CsrGraph, part: &[u32], which: u32) -> (CsrGraph, Vec<Vid>) {
-    let select: Vec<bool> = part.iter().map(|&p| p == which).collect();
-    induced_subgraph(g, &select)
-}
-
 /// Shard owning vertex `u` under the contiguous block distribution of `n`
 /// vertices over `d` shards (the layout the multi-GPU pipeline uses:
 /// block boundaries preserve the locality of mesh-ordered inputs).
@@ -254,7 +248,7 @@ mod tests {
     #[test]
     fn by_part_helper() {
         let g = grid2d(2, 2);
-        let (sub, map) = subgraph_of_part(&g, &[0, 1, 0, 1], 1);
+        let (sub, map) = induced_subgraph(&g, &[false, true, false, true]);
         assert_eq!(map, vec![1, 3]);
         assert_eq!(sub.m(), 1);
     }

@@ -19,12 +19,12 @@ pub mod prefine;
 pub mod util;
 
 use gpm_graph::coarsen_ws::CoarsenWorkspace;
-use gpm_graph::csr::{CsrGraph, Vid};
+use gpm_graph::csr::CsrGraph;
 use gpm_metis::coarsen::{CoarsenConfig, Hierarchy, Level};
 use gpm_metis::cost::{CostLedger, CpuModel, Work};
 use gpm_metis::kway::kway_balance;
 use gpm_metis::PartitionResult;
-use pcontract::{parallel_contract, parallel_contract_ws};
+use pcontract::parallel_contract_ws;
 use pinit::parallel_init_partition;
 use pmatch::parallel_matching;
 use prefine::parallel_refine;
@@ -206,14 +206,6 @@ pub fn uncoarsen_with_refine(
     part
 }
 
-/// Convenience: find a matching and contract once in parallel (used by
-/// tests and benches for phase-level measurements).
-pub fn one_level(g: &CsrGraph, threads: usize, seed: u64) -> (CsrGraph, Vec<Vid>) {
-    let (mat, _) = parallel_matching(g, threads, u32::MAX, seed);
-    let (coarse, cmap, _) = parallel_contract(g, &mat, threads);
-    (coarse, cmap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +278,8 @@ mod tests {
     #[test]
     fn one_level_helper() {
         let g = grid2d(16, 16);
-        let (coarse, cmap) = one_level(&g, 4, 3);
+        let (mat, _) = parallel_matching(&g, 4, u32::MAX, 3);
+        let (coarse, cmap, _) = pcontract::parallel_contract(&g, &mat, 4);
         assert!(coarse.n() < g.n());
         assert_eq!(cmap.len(), g.n());
         coarse.validate().unwrap();

@@ -5,7 +5,7 @@
 //! Every frame is a 12-byte header — magic `"GPM1"`, a frame type, a
 //! payload length — followed by `len` payload bytes. All integers are
 //! little-endian. The payload grammar is fixed per frame type and decoded
-//! by the bounds-checked [`Rd`] cursor, so a malformed frame — truncated,
+//! by the bounds-checked `Rd` cursor, so a malformed frame — truncated,
 //! oversized, bit-flipped, or adversarial — *cannot* panic the decoder:
 //! it surfaces as a typed [`ProtoError`], which the daemon answers with a
 //! [`Reject`](RejectCode::Protocol) response before closing the

@@ -16,7 +16,7 @@
 //! * [`pin`] — golden digests: a fixed-seed case loop that folds a
 //!   code path's outputs into one FNV-1a digest and asserts it against a
 //!   committed literal.
-//! * [`bench`] — a `std::time::Instant` bench harness (warmup + N
+//! * [`bench`](mod@bench) — a `std::time::Instant` bench harness (warmup + N
 //!   timed iterations, median/p10/p90) that writes machine-readable
 //!   `BENCH_<suite>.json` files, replacing criterion for the
 //!   `crates/bench/benches/*` targets.

@@ -2,7 +2,7 @@
 //!
 //! A property is a closure `FnMut(&mut Source) -> PropResult`. It draws
 //! its inputs from the [`Source`] (ranged integers, collections, coin
-//! flips) and returns `Err(message)` — usually via the [`tk_assert!`]
+//! flips) and returns `Err(message)` — usually via the `tk_assert!`
 //! family — when an invariant breaks.
 //!
 //! Every raw 64-bit draw a property makes is recorded on a *tape*. When
@@ -317,7 +317,7 @@ macro_rules! tk_assert {
     };
 }
 
-/// [`tk_assert!`] for equality, reporting both sides on failure.
+/// `tk_assert!` for equality, reporting both sides on failure.
 #[macro_export]
 macro_rules! tk_assert_eq {
     ($a:expr, $b:expr) => {{
@@ -351,7 +351,7 @@ macro_rules! tk_assert_eq {
     }};
 }
 
-/// [`tk_assert!`] for inequality.
+/// `tk_assert!` for inequality.
 #[macro_export]
 macro_rules! tk_assert_ne {
     ($a:expr, $b:expr) => {{
