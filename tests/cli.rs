@@ -157,6 +157,21 @@ fn cli_rejects_a_dimacs9_file_it_would_repair() {
 }
 
 #[test]
+fn cli_rejects_a_dimacs9_file_with_a_one_sided_arc() {
+    // (2,3) is listed one way only: it used to be symmetrized silently
+    let dir = std::env::temp_dir().join("gpm_cli_test8");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph_path = dir.join("x.gr");
+    std::fs::write(&graph_path, "p sp 3 3\na 1 2 5\na 2 1 5\na 2 3 4\n").unwrap();
+    let out = Command::new(bin()).args([graph_path.to_str().unwrap(), "2"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: parse error at line 4"), "{err}");
+    assert!(err.contains("no reverse arc"), "{err}");
+    std::fs::remove_file(&graph_path).ok();
+}
+
+#[test]
 fn cli_rejects_out_of_domain_options() {
     let dir = std::env::temp_dir().join("gpm_cli_test4");
     std::fs::create_dir_all(&dir).unwrap();
