@@ -9,8 +9,8 @@ cd "$(dirname "$0")"
 step() { printf '\n=== %s ===\n' "$*"; }
 
 step "build (release, offline, whole workspace)"
-# --workspace matters: a bare `cargo build` at the root builds only the
-# root package and leaves stale bench/eval binaries in target/release.
+# The root manifest's default-members already cover every crate; the
+# explicit --workspace keeps this step independent of that list.
 cargo build --release --offline --workspace
 
 step "tests (offline)"
@@ -243,17 +243,20 @@ echo "--timeline schedule is bit-identical under GPM_THREADS in {1,4,8} and stea
 
 step "simulator accounting matrix (kernel-log golden + overlap pins across host workers)"
 # The coalescing replay keeps its scratch table per host worker. The
-# pinned kernel-log accounting (every KernelStats field of whole runs)
-# and the overlap seed pins must not depend on which worker ran which
-# warp group, or in what order.
+# pinned kernel-log accounting (every KernelStats field of whole runs),
+# the overlap seed pins and the GPU refinement digests (the one pass both
+# the single-GPU and the multi-GPU halo refiner run) must not depend on
+# which worker ran which warp group, or in what order.
 for t in 1 4 8; do
     GPM_THREADS=$t cargo test -q --offline -p gp-metis-repro --test gpu_pipeline \
         kernel_log_accounting_is_pinned
     GPM_THREADS=$t cargo test -q --offline -p gp-metis --test overlap
+    GPM_THREADS=$t cargo test -q --offline -p gp-metis --test gpu_refine_identity
 done
 GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 cargo test -q --offline -p gp-metis-repro \
     --test gpu_pipeline kernel_log_accounting_is_pinned
 GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 cargo test -q --offline -p gp-metis --test overlap
+GPM_THREADS=8 GPM_POOL_STEAL_FUZZ=1 cargo test -q --offline -p gp-metis --test gpu_refine_identity
 echo "simulator accounting identical under GPM_THREADS in {1,4,8} and steal fuzz"
 
 step "serve smoke (daemon: cache hit, forced degradation, deadline, identity)"
