@@ -13,8 +13,7 @@
 //!   trace replay) and branch-divergence accounting;
 //! * a roofline timing model with the GTX Titan's published specs plus a
 //!   PCIe transfer model ([`config::GpuConfig`]);
-//! * device-wide scan and reduce primitives standing in for CUB
-//!   ([`scan`], [`reduce`]).
+//! * device-wide scan primitives standing in for CUB ([`scan`]).
 
 pub mod buffer;
 pub mod config;
@@ -22,7 +21,6 @@ pub mod device;
 pub mod event;
 pub mod interconnect;
 pub mod lane;
-pub mod reduce;
 pub mod scan;
 pub mod stream;
 
@@ -32,7 +30,6 @@ pub use device::{Device, DeviceError, GpuOom, KernelStats};
 pub use event::{EngineId, EventId};
 pub use interconnect::{DeviceGroup, Interconnect, LinkConfig, LinkStats};
 pub use lane::Lane;
-pub use reduce::{reduce_max_u32, reduce_sum_u32};
 pub use scan::{
     exclusive_scan_prefix_u32, exclusive_scan_u32, inclusive_scan_prefix_u32, inclusive_scan_u32,
     ScanScratch,

@@ -4,7 +4,8 @@
 //! read back as exactly the graph it was written from; malformed,
 //! truncated and overflowing METIS / DIMACS9 inputs must come back as
 //! typed [`IoError`]s, never a panic; and golden digests pin the loader's
-//! outcome on mutated and truncated files. (Runs on the in-repo
+//! outcome on mutated and truncated files, and the graphs it reads from
+//! files mutated in ways that keep them valid. (Runs on the in-repo
 //! `gpm-testkit` harness.)
 
 use gpm_graph::builder::GraphBuilder;
@@ -157,6 +158,60 @@ fn mutated_files_are_pinned() {
 fn truncated_files_are_pinned() {
     pinned("truncated_files_are_pinned", 96, 0x74cb61550030b093, |src, h| {
         fold_outcome(h, &read_metis_streamed(&truncated_file(src)?.1));
+        Ok(())
+    });
+}
+
+/// A random graph's file under mutations that keep it valid, and the
+/// graph the mutated file describes. An edge weight may change in both
+/// endpoint lines, and a vertex weight may change (zero included); then
+/// tokens are split by runs of spaces and tabs, and comment lines may
+/// sit between rows.
+fn parseable_mutation(src: &mut Source) -> Result<(CsrGraph, Vec<u8>), String> {
+    let g = arbitrary_graph(src);
+    let (mut adjwgt, mut vwgt) = (g.adjwgt.clone(), g.vwgt.clone());
+    if !g.adjncy.is_empty() && src.chance(0.7) {
+        let i = src.usize_in(0, g.adjncy.len());
+        let u = g.xadj.partition_point(|&x| x as usize <= i) - 1;
+        let v = g.adjncy[i] as usize;
+        let j = (g.xadj[v] as usize..g.xadj[v + 1] as usize)
+            .find(|&j| g.adjncy[j] as usize == u)
+            .ok_or("edge without a mirror")?;
+        let w = src.u32_in(0, 1000);
+        (adjwgt[i], adjwgt[j]) = (w, w);
+    }
+    if src.chance(0.7) {
+        let u = src.usize_in(0, g.n());
+        vwgt[u] = src.u32_in(0, 1000);
+    }
+    // write_metis of the reweighted graph is the original file with
+    // exactly those weight tokens edited
+    let want = CsrGraph::from_parts(g.xadj.clone(), g.adjncy.clone(), adjwgt, vwgt);
+    let mut out = Vec::new();
+    for line in metis_file(&want)?.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+        if src.chance(0.3) {
+            out.extend_from_slice(b"%\tcomment between rows\n");
+        }
+        for (k, tok) in line.split(|&b| b == b' ').enumerate() {
+            if k > 0 {
+                for _ in 0..src.usize_in(1, 4) {
+                    out.push(*src.choose(b" \t"));
+                }
+            }
+            out.extend_from_slice(tok);
+        }
+        out.push(b'\n');
+    }
+    Ok((want, out))
+}
+
+#[test]
+fn parseable_mutations_are_pinned() {
+    pinned("parseable_mutations_are_pinned", 96, 0xd9f26d1e9fa7fd05, |src, h| {
+        let (want, buf) = parseable_mutation(src)?;
+        let back = read_metis_streamed(&buf).map_err(|e| format!("valid file rejected: {e}"))?;
+        tk_assert_eq!(back, want);
+        h.graph(&back);
         Ok(())
     });
 }

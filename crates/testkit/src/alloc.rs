@@ -39,7 +39,7 @@ thread_local! {
 
 /// System allocator wrapper that counts calls and requested bytes, and
 /// tracks the live-byte high-water mark (the heap component of peak RSS,
-/// which the scale benchmarks record per loader).
+/// which the streaming loader's peak test bounds).
 pub struct CountingAlloc {
     allocations: AtomicU64,
     deallocations: AtomicU64,

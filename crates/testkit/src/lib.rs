@@ -16,10 +16,8 @@
 //! * [`pin`] — golden digests: a fixed-seed case loop that folds a
 //!   code path's outputs into one FNV-1a digest and asserts it against a
 //!   committed literal.
-//! * [`bench`](mod@bench) — a `std::time::Instant` bench harness (warmup + N
-//!   timed iterations, median/p10/p90) that writes machine-readable
-//!   `BENCH_<suite>.json` files, replacing criterion for the
-//!   `crates/bench/benches/*` targets.
+//! * [`alloc`] — a counting global allocator, so a test binary can
+//!   assert allocation counts and peak heap.
 //!
 //! Determinism: case `i` of a property run draws from
 //! `SplitMix64::stream(seed, i)`, so identical seeds reproduce
@@ -27,7 +25,6 @@
 //! partitioner kernels themselves rely on.
 
 pub mod alloc;
-pub mod bench;
 pub mod pin;
 pub mod prop;
 
