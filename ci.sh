@@ -82,6 +82,9 @@ awk 'BEGIN {
 run_gp() { "$gp" "$graph" 8 --quiet --gpu-threshold 400 --seed 3 "$@"; }
 # 1. transient faults are retried and absorbed: exit 0, same partition
 run_gp --output "$smoke/clean.part"
+# --eval scores an existing partition instead of computing one
+"$gp" "$graph" 8 --eval "$smoke/clean.part" | grep -q "^8 "
+echo "--eval scores the committed partition"
 GPM_FAULTS="3:gpu.h2d@1=transfer" run_gp --output "$smoke/transient.part"
 diff -q "$smoke/clean.part" "$smoke/transient.part"
 echo "transient faults absorbed by retry"
@@ -115,30 +118,6 @@ step "parallel contraction digests (pcontract_identity under GPM_THREADS 1/4/8)"
 for t in 1 4 8; do
     GPM_THREADS=$t cargo test -q --offline -p gpm-mtmetis --test pcontract_identity
 done
-
-step "scale-smoke (out-of-core loader: peak-heap bound at both widths, u64 identity)"
-# stream_peak asserts that the streaming loader's peak heap on a ~1M-edge
-# grid stays within 2x the CSR it builds. Debug builds validate the
-# parsed graph inside the loader, which alone breaks the bound, so the
-# test is ignored there and runs here in release, at both index widths;
-# the separate target dir keeps the default-feature artifacts warm.
-cargo test -q --release --offline -p gpm-graph --test stream_peak
-cargo test -q --release --offline -p gpm-graph --test stream_peak --features idx64 \
-    --target-dir target/idx64
-# u32-vs-u64 identity: the same job must produce the same partition bytes
-cargo build --release --offline --features idx64 --bin gpartition \
-    --target-dir target/idx64
-./target/idx64/release/gpartition "$graph" 8 --quiet --gpu-threshold 400 \
-    --seed 3 --output "$smoke/u64.part"
-diff -q "$smoke/clean.part" "$smoke/u64.part"
-echo "u64-index partition is byte-identical to the u32 build"
-# gpm-graph alone decides the index width: a crate-scoped u64 build
-# (here the daemon and its tests) must compile without the root feature
-cargo check --offline -p gpm-serve --tests --features gpm-graph/idx64 \
-    --target-dir target/idx64
-# --eval scores an existing partition instead of computing one
-"$gp" "$graph" 8 --eval "$smoke/clean.part" | grep -q "^8 "
-echo "--eval scores the committed partition"
 
 step "multigpu-smoke (sharded pipeline: D=1 identity, device sweep)"
 # --devices 1 must be byte-identical to the single-GPU run (partition AND

@@ -3,28 +3,7 @@
 //! `adjwgt`, `vwgt`.
 
 use gpm_gpu_sim::{DBuf, Device, DeviceError};
-use gpm_graph::csr::{CsrGraph, GraphIndex, Vid};
-
-/// Upload a host index array (`Vid`-width) as 32-bit device words. The
-/// simulated device keeps CUDA's 32-bit word model regardless of the host
-/// index width; a graph whose ids or offsets exceed `u32` cannot be
-/// addressed on-device and is reported as an allocation failure (same
-/// surface as a capacity OOM — the graph does not fit this device).
-pub(crate) fn h2d_idx(dev: &Device, v: &[Vid]) -> Result<DBuf<u32>, DeviceError> {
-    match Vid::to_u32_words(v) {
-        Some(words) => dev.h2d(&words[..]),
-        None => Err(DeviceError::Oom(gpm_gpu_sim::GpuOom {
-            requested: (v.len() * Vid::BYTES) as u64,
-            in_use: 0,
-            capacity: u32::MAX as u64 * 4,
-        })),
-    }
-}
-
-/// Download a 32-bit device index array back to `Vid` width.
-pub(crate) fn d2h_idx(dev: &Device, b: &DBuf<u32>) -> Result<Vec<Vid>, DeviceError> {
-    Ok(Vid::from_u32_words(dev.d2h(b)?))
-}
+use gpm_graph::csr::CsrGraph;
 
 /// A graph in device memory.
 pub struct GpuCsr {
@@ -49,8 +28,8 @@ impl GpuCsr {
         Ok(GpuCsr {
             n: g.n(),
             m2: g.adjncy.len(),
-            xadj: h2d_idx(dev, &g.xadj)?,
-            adjncy: h2d_idx(dev, &g.adjncy)?,
+            xadj: dev.h2d(&g.xadj)?,
+            adjncy: dev.h2d(&g.adjncy)?,
             adjwgt: dev.h2d(&g.adjwgt)?,
             vwgt: dev.h2d(&g.vwgt)?,
         })
@@ -59,8 +38,8 @@ impl GpuCsr {
     /// Download to the host (charged D2H).
     pub fn download(&self, dev: &Device) -> Result<CsrGraph, DeviceError> {
         Ok(CsrGraph::from_parts(
-            d2h_idx(dev, &self.xadj)?,
-            d2h_idx(dev, &self.adjncy)?,
+            dev.d2h(&self.xadj)?,
+            dev.d2h(&self.adjncy)?,
             dev.d2h(&self.adjwgt)?,
             dev.d2h(&self.vwgt)?,
         ))

@@ -330,7 +330,7 @@ fn gpu_coarsen_loop(
         if let Some(ck) = ckpt.as_deref_mut() {
             // Checkpoint the finished level on the host. If the download
             // itself dies the checkpoint keeps its pre-level state.
-            let cmap_host = crate::gpu_graph::d2h_idx(dev, &cmap)?;
+            let cmap_host = dev.d2h(&cmap)?;
             let coarse_host = coarse.download(dev)?;
             let fine = std::mem::replace(&mut ck.coarse, coarse_host);
             ck.host_levels.push(Level { graph: fine, cmap: cmap_host });

@@ -47,7 +47,7 @@
 //! thread-count-independence guarantees. Partitions and modeled-time
 //! ledgers are therefore byte-identical for any `GPM_THREADS`.
 
-use crate::gpu_graph::{h2d_idx, GpuCsr};
+use crate::gpu_graph::GpuCsr;
 use crate::kernels::contract::GpuCoarsenScratch;
 use crate::kernels::halo::{
     gpu_build_halo_graph, gpu_compose_bmap, HaloLayout, HaloRefine, HALO_KERNELS,
@@ -208,10 +208,9 @@ fn slowest(deltas: &[f64]) -> f64 {
 
 /// The current coarse id of border slot `b` once `lvls` levels have been
 /// composed (0 levels = the border vertex's own local id).
-#[allow(clippy::unnecessary_cast)] // `Vid as u32` is a real narrowing under idx64
 fn border_id(st: &DevState, b: usize, lvls: usize) -> u32 {
     if lvls == 0 {
-        st.shard.border[b] as u32
+        st.shard.border[b]
     } else {
         st.bmap_levels[lvls - 1][b]
     }
@@ -293,7 +292,7 @@ impl Multi<'_> {
             let st = self.states[i].lock().unwrap();
             let cur = GpuCsr::upload(dev, &st.shard.sub)?;
             let border = &st.shard.border;
-            let bmap = if border.is_empty() { None } else { Some(h2d_idx(dev, border)?) };
+            let bmap = if border.is_empty() { None } else { Some(dev.h2d(border)?) };
             let uniform = st.shard.sub.uniform_edge_weights();
             let scratch = GpuCoarsenScratch::new();
             Ok(Mutex::new(Coarsening { cur, bmap, scratch, uniform, stalled: false }))
@@ -864,12 +863,13 @@ impl Uncoarsening<'_, '_> {
             if !ss.active[i] {
                 continue;
             }
-            // Interior vertices carry no ghost edges, so their share of
-            // the pass needs only the previous pass's allreduce result
-            // (capacity headroom) and runs while the boundary's label
-            // traffic is still in flight; the boundary portion then
-            // consumes the shipped labels (two kernel launches, interior
-            // first). The boundary share is the ghost slots plus ghosted
+            // The simulator runs the pass as one launch; the timeline
+            // splits its modeled seconds in two. Interior vertices carry
+            // no ghost edges, so their share needs only the previous
+            // pass's allreduce result (capacity headroom) and is modeled
+            // as running while the boundary's label traffic is still in
+            // flight; the boundary share then waits for the shipped
+            // labels. The boundary share is the ghost slots plus ghosted
             // border vertices over the augmented vertex count.
             let (ghosts, border) = (ss.slots[i].len() as f64, ss.routes[i].len() as f64);
             let aug = ss.n_local[i] as f64 + ghosts;

@@ -6,115 +6,20 @@
 //! the workspace consume this exact structure so that the CPU and GPU code
 //! paths operate on identical data.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
-}
-
-/// The index type a CSR graph is built over: vertex ids *and* adjacency
-/// offsets (`xadj` entries, so `2m` must fit too). Sealed to `u32`/`u64` —
-/// the two widths the loaders, workspaces and partitioners are tested
-/// against; a third implementation would silently miss those suites.
-///
-/// The compiled-in width is selected by the `idx64` cargo feature through
-/// the [`Vid`] alias rather than by generics: every array and kernel in
-/// the workspace then agrees on one width, the default `u32` build keeps
-/// its memory traffic (and byte-identity suites) unchanged, and the `u64`
-/// build lifts the ~2 G half-edge ceiling for the full DIMACS-scale
-/// inputs.
-pub trait GraphIndex:
-    sealed::Sealed
-    + Copy
-    + Ord
-    + Eq
-    + std::hash::Hash
-    + Default
-    + fmt::Debug
-    + fmt::Display
-    + Send
-    + Sync
-    + 'static
-{
-    /// Largest representable index (used as the "none" sentinel).
-    const MAX: Self;
-    /// Size of one index in bytes (resident-size accounting).
-    const BYTES: usize;
-    /// Widen to `usize` for array indexing.
-    fn index(self) -> usize;
-    /// Narrow from `usize`; debug-asserts the value fits.
-    fn from_usize(x: usize) -> Self;
-    /// The indices as 32-bit words (the simulated device's word width):
-    /// borrowed unchanged at `u32`, narrowed at `u64`, and `None` if any
-    /// value does not fit.
-    fn to_u32_words(v: &[Self]) -> Option<Cow<'_, [u32]>>;
-    /// 32-bit words back at this width: a move at `u32`, widened at `u64`.
-    fn from_u32_words(words: Vec<u32>) -> Vec<Self>;
-}
-
-impl GraphIndex for u32 {
-    const MAX: Self = u32::MAX;
-    const BYTES: usize = 4;
-    #[inline(always)]
-    fn index(self) -> usize {
-        self as usize
-    }
-    #[inline(always)]
-    fn from_usize(x: usize) -> Self {
-        debug_assert!(x <= u32::MAX as usize);
-        x as u32
-    }
-    #[inline(always)]
-    fn to_u32_words(v: &[u32]) -> Option<Cow<'_, [u32]>> {
-        Some(Cow::Borrowed(v))
-    }
-    #[inline(always)]
-    fn from_u32_words(words: Vec<u32>) -> Vec<u32> {
-        words
-    }
-}
-
-impl GraphIndex for u64 {
-    const MAX: Self = u64::MAX;
-    const BYTES: usize = 8;
-    #[inline(always)]
-    fn index(self) -> usize {
-        self as usize
-    }
-    #[inline(always)]
-    fn from_usize(x: usize) -> Self {
-        x as u64
-    }
-    fn to_u32_words(v: &[u64]) -> Option<Cow<'_, [u32]>> {
-        v.iter().map(|&x| u32::try_from(x).ok()).collect::<Option<Vec<u32>>>().map(Cow::Owned)
-    }
-    fn from_u32_words(words: Vec<u32>) -> Vec<u64> {
-        words.into_iter().map(u64::from).collect()
-    }
-}
-
-/// Vertex identifier and adjacency offset. The default 32-bit width
-/// suffices for every workload in the paper's evaluation (the largest
-/// input has ~24 M vertices) and halves memory traffic versus `usize`,
-/// which matters for the coalescing model; the `idx64` feature widens it
-/// to 64 bits for graphs beyond ~2 G half-edges. See [`GraphIndex`].
-#[cfg(not(feature = "idx64"))]
+/// Vertex identifier and adjacency offset (`xadj` entries, so `2m` must
+/// fit too). 32 bits suffice for every workload in the paper's evaluation
+/// (the largest input has ~24 M vertices and ~32 M edges, against a cap
+/// of ~2 G half-edges), match the simulated device's word width, and
+/// halve memory traffic versus `usize`, which matters for the coalescing
+/// model.
 pub type Vid = u32;
-/// Vertex identifier and adjacency offset (64-bit build — see [`GraphIndex`]).
-#[cfg(feature = "idx64")]
-pub type Vid = u64;
 
 /// Atomic cell holding a [`Vid`] — staging arrays written concurrently by
 /// the parallel contraction and matching phases.
-#[cfg(not(feature = "idx64"))]
 pub type AtomicVid = std::sync::atomic::AtomicU32;
-/// Atomic cell holding a [`Vid`] (64-bit build).
-#[cfg(feature = "idx64")]
-pub type AtomicVid = std::sync::atomic::AtomicU64;
 
 /// An undirected graph in CSR form with integer vertex and edge weights.
 ///
@@ -274,8 +179,7 @@ impl CsrGraph {
     /// the GPU simulator to enforce the device-memory capacity the paper
     /// identifies as a core constraint.
     pub fn bytes(&self) -> u64 {
-        (self.xadj.len() * Vid::BYTES
-            + self.adjncy.len() * Vid::BYTES
+        ((self.xadj.len() + self.adjncy.len()) * size_of::<Vid>()
             + self.adjwgt.len() * 4
             + self.vwgt.len() * 4) as u64
     }
@@ -392,17 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn u32_words_borrow_at_u32_and_narrow_checked_at_u64() {
-        let w = [0u32, 7, u32::MAX];
-        assert!(matches!(u32::to_u32_words(&w), Some(Cow::Borrowed(b)) if b == w));
-        assert_eq!(u32::from_u32_words(w.to_vec()), w);
-        let wide: Vec<u64> = w.iter().map(|&x| x as u64).collect();
-        assert_eq!(u64::to_u32_words(&wide).as_deref(), Some(&w[..]));
-        assert_eq!(u64::to_u32_words(&[1, u32::MAX as u64 + 1]), None);
-        assert_eq!(u64::from_u32_words(w.to_vec()), wide);
-    }
-
-    #[test]
     fn empty_graph() {
         let g = CsrGraph::empty();
         assert_eq!(g.n(), 0);
@@ -503,7 +396,6 @@ mod tests {
     #[test]
     fn bytes_counts_all_arrays() {
         let g = triangle();
-        // index arrays follow the build's Vid width; weights stay 4 bytes
-        assert_eq!(g.bytes(), ((4 + 6) * Vid::BYTES + (6 + 3) * 4) as u64);
+        assert_eq!(g.bytes(), ((4 + 6) + (6 + 3)) * 4);
     }
 }

@@ -8,11 +8,11 @@
 //! holds on any host tomorrow.
 //!
 //! [`Fnv1a::bytes`] is the raw byte fold. The typed writers fix an
-//! encoding that does not depend on the index width: [`Fnv1a::u64`]
+//! encoding that does not depend on the element type: [`Fnv1a::u64`]
 //! writes 8 little-endian bytes, [`Fnv1a::f64`] writes a float's bits,
 //! and [`Fnv1a::words`] writes a slice's length and then every element
-//! widened to `u64`, so the 32- and 64-bit index builds fold equal
-//! values to equal digests.
+//! widened to `u64`, so equal values fold to equal digests whatever
+//! their integer type.
 
 use crate::csr::CsrGraph;
 

@@ -24,8 +24,8 @@ pub enum IoError {
         line: Option<usize>,
         msg: String,
     },
-    /// The header declares more edges than the compiled index width can
-    /// address (CSR offsets run to `2m`).
+    /// The header declares more edges than 32-bit CSR offsets can address
+    /// (they run to `2m`).
     TooLarge {
         m: usize,
         max: usize,
@@ -41,11 +41,7 @@ impl std::fmt::Display for IoError {
             }
             IoError::Parse { line: None, msg } => write!(f, "parse error: {msg}"),
             IoError::TooLarge { m, max } => {
-                write!(f, "graph has {m} edges but this build supports at most {max}")?;
-                if cfg!(not(feature = "idx64")) {
-                    write!(f, " (rebuild with `--features idx64` for 64-bit indices)")?;
-                }
-                Ok(())
+                write!(f, "graph has {m} edges but 32-bit CSR offsets address at most {max}")
             }
         }
     }
@@ -76,10 +72,9 @@ pub(crate) fn file_err<T>(msg: impl std::fmt::Display) -> Result<T, IoError> {
 
 /// Hard cap on header-declared sizes: vertex ids must fit [`Vid`] and the
 /// CSR adjacency offsets (`2m`) must fit [`Vid`], so a corrupt — or merely
-/// too-big-for-this-build — header fails with a typed error instead of an
-/// assert or a giant allocation downstream. An over-cap edge count gets
-/// the dedicated [`IoError::TooLarge`], whose message points at the
-/// `idx64` build that can load the file.
+/// too-big — header fails with a typed error instead of an assert or a
+/// giant allocation downstream. An over-cap edge count gets the dedicated
+/// [`IoError::TooLarge`].
 const MAX_N: usize = Vid::MAX as usize;
 const MAX_M: usize = (Vid::MAX / 2) as usize;
 

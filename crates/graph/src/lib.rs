@@ -26,6 +26,6 @@ pub mod subgraph;
 pub use boundary::BoundaryTracker;
 pub use builder::GraphBuilder;
 pub use coarsen_ws::{check_contraction, CoarsenWorkspace, EpochSlots};
-pub use csr::{AtomicVid, CsrGraph, GraphIndex, Vid};
+pub use csr::{AtomicVid, CsrGraph, Vid};
 pub use metrics::{comm_volume, edge_cut, imbalance, part_weights, validate_partition};
 pub use stream::{read_metis_mmap, read_metis_streamed};

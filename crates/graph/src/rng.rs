@@ -75,8 +75,7 @@ pub fn shuffle<T>(xs: &mut [T], rng: &mut SplitMix64) {
     }
 }
 
-/// A random permutation of `0..n`. The draw sequence depends only on `n`,
-/// so the permutation is identical across index widths ([`Vid`] u32/u64).
+/// A random permutation of `0..n`. The draw sequence depends only on `n`.
 pub fn random_permutation(n: usize, rng: &mut SplitMix64) -> Vec<Vid> {
     let mut p: Vec<Vid> = (0..n as Vid).collect();
     shuffle(&mut p, rng);

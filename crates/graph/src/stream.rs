@@ -557,9 +557,11 @@ pub fn read_metis_streamed(bytes: &[u8]) -> Result<CsrGraph, IoError> {
         }
     }
 
-    let g = CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt);
-    debug_assert!(g.validate().is_ok());
-    Ok(g)
+    // Every `CsrGraph::validate` invariant holds here: the `xadj` shape
+    // and `adjncy`/`adjwgt` lengths by construction, ids in range and no
+    // self-loops by the scatter pass, mirrored equal weights by the check
+    // just above.
+    Ok(CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt))
 }
 
 /// Memory-map `path` and parse it with [`read_metis_streamed`]. Falls
@@ -650,17 +652,24 @@ mod tests {
             "parse error: header said 2 edges (4 neighbor entries), file lists 3 neighbor entries"
         );
         assert_eq!(msg(b"3 2\n2 3\n1\n"), "parse error: expected 3 vertex lines, found 2");
+        // each `CsrGraph::validate` item the file can break is a parse error
+        assert_eq!(msg(b"2 1\n0\n1\n"), "parse error at line 2: neighbor 0 out of 1..=2");
+        assert!(msg(b"2 2\n1 2\n1 2\n")
+            .starts_with("parse error at line 2: self-loop on vertex 1 (not representable"));
+        assert!(msg(b"2 1 001\n2 5\n1 7\n").starts_with(
+            "parse error at line 2: edge (1, 2) is not mirrored with an equal weight"
+        ));
         assert_eq!(msg(b"% only comments\n"), "parse error: empty file");
     }
 
-    #[cfg(not(feature = "idx64"))]
     #[test]
     fn oversized_edge_count_is_too_large() {
         // 3e9 edges: 2m does not fit a u32 offset
         match read_metis_streamed(b"4 3000000000\n").unwrap_err() {
-            err @ IoError::TooLarge { m: 3_000_000_000, .. } => {
-                assert!(err.to_string().contains("idx64"))
-            }
+            err @ IoError::TooLarge { m: 3_000_000_000, .. } => assert_eq!(
+                err.to_string(),
+                "graph has 3000000000 edges but 32-bit CSR offsets address at most 2147483647"
+            ),
             other => panic!("unexpected: {other}"),
         }
     }

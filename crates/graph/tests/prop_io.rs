@@ -45,6 +45,7 @@ fn metis_roundtrip_arbitrary_graphs() {
     check("metis_roundtrip_arbitrary_graphs", 96, |src| {
         let g = arbitrary_graph(src);
         let back = read_metis_streamed(&metis_file(&g)?).map_err(|e| e.to_string())?;
+        tk_assert!(back.validate().is_ok(), "read-back graph fails validation");
         tk_assert_eq!(back, g);
         Ok(())
     });
@@ -87,6 +88,7 @@ fn metis_roundtrip_decorated_files() {
         let g = arbitrary_graph(src);
         let decorated = decorate(src, &metis_file(&g)?);
         let back = read_metis_streamed(&decorated).map_err(|e| e.to_string())?;
+        tk_assert!(back.validate().is_ok(), "read-back graph fails validation");
         tk_assert_eq!(back, g);
         Ok(())
     });
@@ -139,6 +141,7 @@ fn truncated_metis_never_panics() {
         // counts still agree
         let (g, buf) = truncated_file(src)?;
         if let Ok(h) = read_metis_streamed(&buf) {
+            tk_assert!(h.validate().is_ok(), "parsed graph fails validation");
             tk_assert_eq!(h.n(), g.n());
             tk_assert_eq!(h.m(), g.m());
         }
@@ -210,6 +213,7 @@ fn parseable_mutations_are_pinned() {
     pinned("parseable_mutations_are_pinned", 96, 0xd9f26d1e9fa7fd05, |src, h| {
         let (want, buf) = parseable_mutation(src)?;
         let back = read_metis_streamed(&buf).map_err(|e| format!("valid file rejected: {e}"))?;
+        tk_assert!(back.validate().is_ok(), "read-back graph fails validation");
         tk_assert_eq!(back, want);
         h.graph(&back);
         Ok(())
@@ -219,33 +223,30 @@ fn parseable_mutations_are_pinned() {
 #[test]
 fn overflowing_metis_headers_are_typed_errors() {
     check("overflowing_metis_headers_are_typed_errors", 48, |src| {
-        // the caps move with the index width, so only the default (u32)
-        // build can exceed them with parseable numbers
-        #[cfg(not(feature = "idx64"))]
-        {
-            let huge_n = (u32::MAX as u64) + 1 + src.below(1 << 40);
-            let huge_m = (u32::MAX as u64 / 2) + 1 + src.below(1 << 40);
-            match read_metis_streamed(format!("{huge_n} 1\n").as_bytes()) {
-                Err(IoError::Parse { .. }) => {}
-                other => return Err(format!("huge n: expected parse error, got {other:?}")),
-            }
-            // over-cap edge counts get the dedicated variant whose message
-            // points at the idx64 build
-            match read_metis_streamed(format!("4 {huge_m}\n").as_bytes()) {
-                Err(e @ IoError::TooLarge { .. }) => {
-                    if !e.to_string().contains("idx64") {
-                        return Err(format!("missing idx64 hint in `{e}`"));
-                    }
-                }
-                other => return Err(format!("huge m: expected TooLarge, got {other:?}")),
-            }
-            // n is checked first when both overflow
-            match read_metis_streamed(format!("{huge_n} {huge_m}\n").as_bytes()) {
-                Err(IoError::Parse { .. }) => {}
-                other => return Err(format!("huge n+m: expected parse error, got {other:?}")),
-            }
+        let huge_n = (u32::MAX as u64) + 1 + src.below(1 << 40);
+        let huge_m = (u32::MAX as u64 / 2) + 1 + src.below(1 << 40);
+        match read_metis_streamed(format!("{huge_n} 1\n").as_bytes()) {
+            Err(IoError::Parse { .. }) => {}
+            other => return Err(format!("huge n: expected parse error, got {other:?}")),
         }
-        let _ = &src;
+        // over-cap edge counts get the dedicated variant
+        match read_metis_streamed(format!("4 {huge_m}\n").as_bytes()) {
+            Err(e @ IoError::TooLarge { .. }) => {
+                let want = format!(
+                    "graph has {huge_m} edges but 32-bit CSR offsets address at most {}",
+                    u32::MAX / 2
+                );
+                if e.to_string() != want {
+                    return Err(format!("TooLarge message `{e}`, expected `{want}`"));
+                }
+            }
+            other => return Err(format!("huge m: expected TooLarge, got {other:?}")),
+        }
+        // n is checked first when both overflow
+        match read_metis_streamed(format!("{huge_n} {huge_m}\n").as_bytes()) {
+            Err(IoError::Parse { .. }) => {}
+            other => return Err(format!("huge n+m: expected parse error, got {other:?}")),
+        }
         // astronomically large counts overflow usize parsing itself
         match read_metis_streamed(b"99999999999999999999999999 1\n") {
             Err(IoError::Parse { .. }) => Ok(()),
@@ -287,6 +288,7 @@ fn dimacs9_roundtrip_arbitrary_graphs() {
     check("dimacs9_roundtrip_arbitrary_graphs", 48, |src| {
         let g = arbitrary_graph(src);
         let back = read_dimacs9(Cursor::new(to_dimacs9(&g))).map_err(|e| e.to_string())?;
+        tk_assert!(back.validate().is_ok(), "read-back graph fails validation");
         tk_assert_eq!(back.n(), g.n());
         tk_assert_eq!(back.m(), g.m());
         // weights survive symmetrized-arc dedup
@@ -318,20 +320,15 @@ fn truncated_or_mutated_dimacs9_never_panics() {
 
 #[test]
 fn overflowing_dimacs9_headers_are_typed_errors() {
-    // Counts just past the u32 caps are typed errors only in the default
-    // build; under idx64 they declare legal (if enormous) graphs, so the
-    // reader would faithfully allocate for them — skip those cases there.
-    #[cfg(not(feature = "idx64"))]
-    {
-        let huge = (u32::MAX as u64) + 2;
-        for text in [format!("p sp {huge} 1\na 1 2 1\n"), format!("p sp 3 {huge}\na 1 2 1\n")] {
-            match read_dimacs9(Cursor::new(&text)) {
-                Err(IoError::Parse { .. }) | Err(IoError::TooLarge { .. }) => {}
-                other => panic!("expected typed error, got {other:?}"),
-            }
+    // counts just past the u32 caps
+    let huge = (u32::MAX as u64) + 2;
+    for text in [format!("p sp {huge} 1\na 1 2 1\n"), format!("p sp 3 {huge}\na 1 2 1\n")] {
+        match read_dimacs9(Cursor::new(&text)) {
+            Err(IoError::Parse { .. }) | Err(IoError::TooLarge { .. }) => {}
+            other => panic!("expected typed error, got {other:?}"),
         }
     }
-    // counts that overflow usize parsing itself fail in every build
+    // counts that overflow usize parsing itself
     match read_dimacs9(Cursor::new("p sp 99999999999999999999999999 1\n")) {
         Err(IoError::Parse { .. }) => {}
         other => panic!("expected parse error, got {other:?}"),
@@ -342,6 +339,7 @@ fn overflowing_dimacs9_headers_are_typed_errors() {
 fn generator_graphs_survive_a_full_io_cycle() {
     for g in [grid2d(9, 7), delaunay_like(300, 4)] {
         let back = read_metis_streamed(&metis_file(&g).unwrap()).unwrap();
+        back.validate().unwrap();
         assert_eq!(back, g);
     }
 }

@@ -7,11 +7,6 @@
 //! its own integration-test binary. The loader parses on pool workers,
 //! so the bound is read from the process-wide watermark, and the binary
 //! holds this one test so that nothing else allocates meanwhile.
-//!
-//! Debug builds re-validate the parsed graph inside the loader (a
-//! `debug_assert!`), and that check alone lifts the peak past 2x, so the
-//! bound holds for release builds only:
-//! `cargo test --release -p gpm-graph --test stream_peak`.
 
 use gpm_graph::gen::grid2d;
 use gpm_graph::io::write_metis;
@@ -22,11 +17,6 @@ use gpm_testkit::alloc::CountingAlloc;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "the loader's debug-only graph validation lifts its peak past 2x the CSR; \
-              run with --release"
-)]
 fn streamed_load_peaks_within_twice_the_csr() {
     // 708 x 708 grid: 501,264 vertices, 1,001,112 edges, large enough
     // that the CSR dwarfs the loader's constant-size scratch

@@ -11,27 +11,10 @@
 //! speedup curve in the paper's Fig. 5.
 
 pub mod barrier;
-pub mod channel;
 
 use barrier::{BarrierWait, PoisonBarrier};
-use channel::{channel as mpmc_channel, Receiver, Sender};
 use gpm_faults::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
-
-/// The wire word of the rank-message substrate. Follows the graph index
-/// width ([`gpm_graph::csr::GraphIndex`]): ranks ship vertex ids and CSR
-/// offsets in messages, so the word must fit a `Vid` of either build.
-pub type Word = gpm_graph::Vid;
-
-/// Narrow a wire [`Word`] back to `u32`. A no-op in the default build; a
-/// truncation under `idx64`, where the values on these paths (weights,
-/// partition labels, small counts) always fit 32 bits.
-#[inline]
-pub fn word_u32(w: Word) -> u32 {
-    #[allow(clippy::unnecessary_cast)]
-    {
-        w as u32
-    }
-}
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -145,7 +128,7 @@ struct RankAbort(MsgError);
 struct Msg {
     from: usize,
     tag: u32,
-    data: Vec<Word>,
+    data: Vec<u32>,
 }
 
 /// Per-phase record a rank produces: local compute work plus the
@@ -236,7 +219,7 @@ impl RankCtx {
     /// Under an active fault schedule the `msg.send.r<rank>` site may drop
     /// (retried with exponential backoff up to the retry budget, then
     /// [`MsgError::SendFailed`]) or delay the message.
-    pub fn send(&mut self, to: usize, tag: u32, data: Vec<Word>) {
+    pub fn send(&mut self, to: usize, tag: u32, data: Vec<u32>) {
         assert_ne!(tag, CRASH_TAG, "CRASH_TAG is reserved for the crash-notice protocol");
         self.crash_point();
         if let (Some(inj), Some(sites)) = (&self.injector, &self.sites) {
@@ -287,7 +270,7 @@ impl RankCtx {
     /// then aborts the rank with a typed [`MsgError::RecvTimeout`] instead
     /// of panicking; a peer's crash notice aborts immediately with
     /// [`MsgError::PeerCrashed`].
-    pub fn recv(&mut self, from: usize, tag: u32) -> Vec<Word> {
+    pub fn recv(&mut self, from: usize, tag: u32) -> Vec<u32> {
         self.crash_point();
         if let (Some(inj), Some(sites)) = (&self.injector, &self.sites) {
             if inj.is_active() {
@@ -314,7 +297,7 @@ impl RankCtx {
                 }
                 Ok(m) if m.from == from && m.tag == tag => return m.data,
                 Ok(m) => self.stash.push(m),
-                Err(channel::RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) => {
                     let e = MsgError::RecvTimeout {
                         rank: self.rank,
                         from,
@@ -323,7 +306,7 @@ impl RankCtx {
                     };
                     self.abort(e);
                 }
-                Err(channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Disconnected) => {
                     self.abort(MsgError::PeerCrashed { rank: self.rank, peer: from });
                 }
             }
@@ -333,7 +316,7 @@ impl RankCtx {
     /// Personalized all-to-all: `out[r]` goes to rank `r`; returns the
     /// vector received from each rank (own slot passed through directly).
     #[allow(clippy::needless_range_loop)] // rank-indexed send/recv loops
-    pub fn all_to_all(&mut self, tag: u32, mut out: Vec<Vec<Word>>) -> Vec<Vec<Word>> {
+    pub fn all_to_all(&mut self, tag: u32, mut out: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
         assert_eq!(out.len(), self.ranks);
         let own = std::mem::take(&mut out[self.rank]);
         for r in 0..self.ranks {
@@ -341,7 +324,7 @@ impl RankCtx {
                 self.send(r, tag, std::mem::take(&mut out[r]));
             }
         }
-        let mut inbox: Vec<Vec<Word>> = (0..self.ranks).map(|_| Vec::new()).collect();
+        let mut inbox: Vec<Vec<u32>> = (0..self.ranks).map(|_| Vec::new()).collect();
         inbox[self.rank] = own;
         for r in 0..self.ranks {
             if r != self.rank {
@@ -369,8 +352,8 @@ impl RankCtx {
     /// All-reduce a `u64` with a binary op (implemented as gather at rank
     /// 0 + broadcast; cost is charged via the underlying sends).
     pub fn allreduce_u64(&mut self, tag: u32, value: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        let lo = (value & 0xFFFF_FFFF) as Word;
-        let hi = (value >> 32) as Word;
+        let lo = (value & 0xFFFF_FFFF) as u32;
+        let hi = (value >> 32) as u32;
         if self.rank == 0 {
             let mut acc = value;
             for r in 1..self.ranks {
@@ -378,7 +361,7 @@ impl RankCtx {
                 acc = op(acc, (d[1] as u64) << 32 | d[0] as u64);
             }
             for r in 1..self.ranks {
-                self.send(r, tag + 1, vec![(acc & 0xFFFF_FFFF) as Word, (acc >> 32) as Word]);
+                self.send(r, tag + 1, vec![(acc & 0xFFFF_FFFF) as u32, (acc >> 32) as u32]);
             }
             acc
         } else {
@@ -390,9 +373,9 @@ impl RankCtx {
 
     /// Gather every rank's vector at rank 0 (others receive empty).
     #[allow(clippy::needless_range_loop)] // rank-indexed recv loop
-    pub fn gather(&mut self, tag: u32, data: Vec<Word>) -> Vec<Vec<Word>> {
+    pub fn gather(&mut self, tag: u32, data: Vec<u32>) -> Vec<Vec<u32>> {
         if self.rank == 0 {
-            let mut all: Vec<Vec<Word>> = (0..self.ranks).map(|_| Vec::new()).collect();
+            let mut all: Vec<Vec<u32>> = (0..self.ranks).map(|_| Vec::new()).collect();
             all[0] = data;
             for r in 1..self.ranks {
                 all[r] = self.recv(r, tag);
@@ -405,7 +388,7 @@ impl RankCtx {
     }
 
     /// Broadcast rank 0's vector to everyone.
-    pub fn bcast(&mut self, tag: u32, data: Vec<Word>) -> Vec<Word> {
+    pub fn bcast(&mut self, tag: u32, data: Vec<u32>) -> Vec<u32> {
         if self.rank == 0 {
             for r in 1..self.ranks {
                 self.send(r, tag, data.clone());
@@ -507,7 +490,7 @@ where
     let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(p);
     let mut receivers: Vec<Mutex<Option<Receiver<Msg>>>> = Vec::with_capacity(p);
     for _ in 0..p {
-        let (s, r) = mpmc_channel();
+        let (s, r) = channel();
         senders.push(s);
         receivers.push(Mutex::new(Some(r)));
     }

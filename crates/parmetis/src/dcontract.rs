@@ -9,7 +9,7 @@ use crate::exchange::{allgather_word, fetch_remote};
 use crate::local::LocalGraph;
 use gpm_graph::coarsen_ws::CoarsenWorkspace;
 use gpm_graph::csr::Vid;
-use gpm_msg::{word_u32, RankCtx, Word};
+use gpm_msg::RankCtx;
 
 /// Contract the distributed fine graph. Collective. Returns the coarse
 /// local graph and `cmap_local` (coarse gid of every local fine vertex).
@@ -65,7 +65,7 @@ pub fn dist_contract_ws(
         }
     }
     // local-pair non-reps copy their rep's label; cross-pair labels travel
-    let mut label_msgs: Vec<Vec<Word>> = vec![Vec::new(); p];
+    let mut label_msgs: Vec<Vec<u32>> = vec![Vec::new(); p];
     for u in 0..n {
         if !is_rep(u) {
             let partner = m.mat[u];
@@ -101,7 +101,7 @@ pub fn dist_contract_ws(
     };
 
     // --- ship non-rep rows of cross pairs to the rep's owner ----------------
-    let mut row_msgs: Vec<Vec<Word>> = vec![Vec::new(); p];
+    let mut row_msgs: Vec<Vec<u32>> = vec![Vec::new(); p];
     for u in 0..n {
         if is_rep(u) {
             continue;
@@ -113,10 +113,10 @@ pub fn dist_contract_ws(
         let owner = lg.owner(rep);
         let msg = &mut row_msgs[owner];
         msg.push(cmap_local[u]);
-        msg.push(lg.degree(u) as Word);
+        msg.push(lg.degree(u) as u32);
         for (v, w) in lg.edges(u) {
             msg.push(cmap_of(v));
-            msg.push(w as Word);
+            msg.push(w);
         }
         ctx.work(lg.degree(u) as u64, 1);
     }
@@ -143,7 +143,7 @@ pub fn dist_contract_ws(
     }
     // The (coarse neighbor, weight) words of coarse vertex `c`'s shipped
     // row, empty when none was shipped.
-    let shipped_row = |c: Vid| -> &[Word] {
+    let shipped_row = |c: Vid| -> &[u32] {
         let at = shipped[(c - my_c0) as usize];
         if at == usize::MAX {
             return &[];
@@ -254,7 +254,7 @@ pub fn dist_contract_ws(
         let row = shipped_row(c);
         if !row.is_empty() {
             for e in row.chunks_exact(2) {
-                emit(e[0], word_u32(e[1]), &mut adjncy, &mut adjwgt, slot);
+                emit(e[0], e[1], &mut adjncy, &mut adjwgt, slot);
             }
             ctx.work(row.len() as u64 / 2, 0);
         }

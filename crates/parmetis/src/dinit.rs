@@ -16,24 +16,24 @@ use gpm_metis::cost::Work;
 use gpm_metis::fm::BisectTargets;
 use gpm_metis::gggp::gggp_bisect;
 use gpm_metis::rb::{recursive_bisection, InitPartConfig};
-use gpm_msg::{word_u32, RankCtx, Word};
+use gpm_msg::RankCtx;
 
 /// All-gather the distributed graph so every rank holds the full coarse
 /// graph (the paper's all-to-all broadcast). Collective.
 pub fn gather_global(ctx: &mut RankCtx, lg: &LocalGraph, tag: u32) -> CsrGraph {
     let p = ctx.ranks;
     // pack local rows: [n_local, (vwgt, deg, (gid, w)*deg)*]
-    let mut packed: Vec<Word> = Vec::with_capacity(2 + 3 * lg.adjncy.len());
-    packed.push(lg.n_local() as Word);
+    let mut packed: Vec<u32> = Vec::with_capacity(2 + 3 * lg.adjncy.len());
+    packed.push(lg.n_local() as u32);
     for u in 0..lg.n_local() {
-        packed.push(lg.vwgt[u] as Word);
-        packed.push(lg.degree(u) as Word);
+        packed.push(lg.vwgt[u]);
+        packed.push(lg.degree(u) as u32);
         for (v, w) in lg.edges(u) {
             packed.push(v);
-            packed.push(w as Word);
+            packed.push(w);
         }
     }
-    let out: Vec<Vec<Word>> = (0..p).map(|_| packed.clone()).collect();
+    let out: Vec<Vec<u32>> = (0..p).map(|_| packed.clone()).collect();
     let inbox = ctx.all_to_all(tag, out);
     // unpack in rank order (block distribution => concatenation is global)
     let n = lg.n_global();
@@ -46,12 +46,12 @@ pub fn gather_global(ctx: &mut RankCtx, lg: &LocalGraph, tag: u32) -> CsrGraph {
         let nl = msg[0] as usize;
         let mut i = 1usize;
         for _ in 0..nl {
-            vwgt[u] = word_u32(msg[i]);
+            vwgt[u] = msg[i];
             let deg = msg[i + 1] as usize;
             i += 2;
             for _ in 0..deg {
                 adjncy.push(msg[i]);
-                adjwgt.push(word_u32(msg[i + 1]));
+                adjwgt.push(msg[i + 1]);
                 i += 2;
             }
             xadj[u + 1] = adjncy.len() as Vid;
@@ -78,26 +78,26 @@ pub fn dist_init_partition(
     let mut work = Work::default();
     let cfg = InitPartConfig::for_k(k, ubfactor);
     // labels this rank computed: (vertex gid, label)
-    let mut mine: Vec<Word> = Vec::new();
+    let mut mine: Vec<u32> = Vec::new();
     let vmap: Vec<Vid> = (0..global.n() as Vid).collect();
     nested(&global, &vmap, k, 0, 0, ctx.ranks, ctx.rank, seed, &cfg, &mut work, &mut mine);
     // gather all leaf assignments at rank 0, stitch, broadcast
     let gathered = ctx.gather(tag + 2, mine);
-    let full: Vec<Word> = if ctx.rank == 0 {
-        let mut part = vec![Word::MAX; global.n()];
+    let full: Vec<u32> = if ctx.rank == 0 {
+        let mut part = vec![u32::MAX; global.n()];
         for msg in &gathered {
             for pair in msg.chunks_exact(2) {
                 part[pair[0] as usize] = pair[1];
             }
         }
-        debug_assert!(part.iter().all(|&p| p != Word::MAX), "uncovered vertices");
+        debug_assert!(part.iter().all(|&p| p != u32::MAX), "uncovered vertices");
         part
     } else {
         Vec::new()
     };
     let full = ctx.bcast(tag + 4, full);
     let (lo, hi) = (lg.first() as usize, lg.vtxdist[ctx.rank + 1] as usize);
-    (full[lo..hi].iter().map(|&x| word_u32(x)).collect(), work)
+    (full[lo..hi].to_vec(), work)
 }
 
 /// One branch of the nested bisection tree. Ranks `rank_lo..rank_hi` hold
@@ -118,7 +118,7 @@ fn nested(
     seed: u64,
     cfg: &InitPartConfig,
     work: &mut Work,
-    out: &mut Vec<Word>,
+    out: &mut Vec<u32>,
 ) {
     debug_assert!((rank_lo..rank_hi).contains(&my_rank));
     if k == 1 {
@@ -126,7 +126,7 @@ fn nested(
         if my_rank == rank_lo {
             for (i, &gid) in vmap.iter().enumerate() {
                 let _ = i;
-                out.extend([gid, offset as Word]);
+                out.extend([gid, offset]);
             }
             work.vertices += g.n() as u64;
         }
@@ -137,7 +137,7 @@ fn nested(
         let mut rng = SplitMix64::stream(seed, offset as u64 + 1);
         let part = recursive_bisection(g, k, cfg, &mut rng, work);
         for (i, &gid) in vmap.iter().enumerate() {
-            out.extend([gid, (offset + part[i]) as Word]);
+            out.extend([gid, (offset + part[i]) as u32]);
         }
         return;
     }

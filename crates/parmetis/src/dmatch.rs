@@ -8,7 +8,7 @@
 
 use crate::local::LocalGraph;
 use gpm_graph::csr::Vid;
-use gpm_msg::{word_u32, RankCtx, Word};
+use gpm_msg::RankCtx;
 
 /// Matching state of the local vertices: `mat[lid]` is the partner's
 /// *global* id (own gid = unmatched/self), `pvw[lid]` the partner's vertex
@@ -39,7 +39,7 @@ pub fn dist_matching(
         requesting.iter_mut().for_each(|r| *r = false);
         let up = pass % 2 == 0;
         // --- propose ------------------------------------------------------
-        let mut reqs: Vec<Vec<Word>> = vec![Vec::new(); p];
+        let mut reqs: Vec<Vec<u32>> = vec![Vec::new(); p];
         for u in 0..n {
             if mat[u] != lg.gid(u) {
                 continue;
@@ -82,17 +82,17 @@ pub fn dist_matching(
                 }
                 Some((v, _, false)) => {
                     requesting[u] = true;
-                    reqs[lg.owner(v)].extend([lg.gid(u), v, uw as Word]);
+                    reqs[lg.owner(v)].extend([lg.gid(u), v, uw]);
                 }
                 None => {}
             }
         }
         // --- grant --------------------------------------------------------
         let incoming = ctx.all_to_all(tag + pass as u32 * 2, reqs);
-        let mut grants: Vec<Vec<Word>> = vec![Vec::new(); p];
+        let mut grants: Vec<Vec<u32>> = vec![Vec::new(); p];
         for (from, triples) in incoming.iter().enumerate() {
             for t in triples.chunks_exact(3) {
-                let (u_gid, v_gid, u_vwgt) = (t[0], t[1], word_u32(t[2]));
+                let (u_gid, v_gid, u_vwgt) = (t[0], t[1], t[2]);
                 let vl = lg.lid(v_gid);
                 ctx.work(0, 1);
                 if mat[vl] == v_gid
@@ -101,14 +101,14 @@ pub fn dist_matching(
                 {
                     mat[vl] = u_gid;
                     pvw[vl] = u_vwgt;
-                    grants[from].extend([v_gid, u_gid, lg.vwgt[vl] as Word]);
+                    grants[from].extend([v_gid, u_gid, lg.vwgt[vl]]);
                 }
             }
         }
         let granted = ctx.all_to_all(tag + pass as u32 * 2 + 1, grants);
         for triples in granted {
             for t in triples.chunks_exact(3) {
-                let (v_gid, u_gid, v_vwgt) = (t[0], t[1], word_u32(t[2]));
+                let (v_gid, u_gid, v_vwgt) = (t[0], t[1], t[2]);
                 let ul = lg.lid(u_gid);
                 mat[ul] = v_gid;
                 pvw[ul] = v_vwgt;

@@ -12,7 +12,7 @@ use crate::local::LocalGraph;
 use gpm_graph::boundary::ConnRows;
 use gpm_graph::csr::Vid;
 use gpm_graph::metrics::max_part_weight;
-use gpm_msg::{word_u32, RankCtx, Word};
+use gpm_msg::RankCtx;
 
 /// Project a coarse partition to the fine level: `part_f[u] =
 /// part_c[cmap[u]]`, fetching remote coarse labels from their owners.
@@ -33,8 +33,7 @@ pub fn dist_project(
         v
     };
     // aligned to `remote`: a ghost's label sits at its position there
-    let ghost =
-        fetch_remote(ctx, lg_coarse, &remote, tag, |cgid| part_coarse[lg_coarse.lid(cgid)] as Word);
+    let ghost = fetch_remote(ctx, lg_coarse, &remote, tag, |cgid| part_coarse[lg_coarse.lid(cgid)]);
     ctx.work(0, lg_fine.n_local() as u64);
     ctx.ws(lg_fine.bytes() * lg_fine.ranks() as u64);
     cmap_local
@@ -43,7 +42,7 @@ pub fn dist_project(
             if lg_coarse.is_local(c) {
                 part_coarse[lg_coarse.lid(c)]
             } else {
-                word_u32(ghost[remote.binary_search(&c).expect("remote coarse ids were requested")])
+                ghost[remote.binary_search(&c).expect("remote coarse ids were requested")]
             }
         })
         .collect()
@@ -124,11 +123,7 @@ pub fn dist_refine(
         let up = pass % 2 == 0;
         let ptag = tag + 10 + pass as u32 * 10;
         // refresh ghost partition labels, aligned to ghost_gids
-        let gp_now: Vec<u32> =
-            fetch_remote(ctx, lg, &ghost_gids, ptag, |gid| part[lg.lid(gid)] as Word)
-                .into_iter()
-                .map(word_u32)
-                .collect();
+        let gp_now: Vec<u32> = fetch_remote(ctx, lg, &ghost_gids, ptag, |gid| part[lg.lid(gid)]);
         let part_of = |gid: Vid, part: &[u32]| -> u32 {
             if lg.is_local(gid) {
                 part[lg.lid(gid)]

@@ -3,7 +3,7 @@
 //! partition of remote vertices from their owners).
 
 use crate::local::LocalGraph;
-use gpm_msg::{RankCtx, Word};
+use gpm_msg::RankCtx;
 
 /// Fetch `lookup(gid)` for every (remote) gid in `gids` from its owner.
 /// All ranks must call this collectively with the same `tag`.
@@ -11,13 +11,13 @@ use gpm_msg::{RankCtx, Word};
 pub fn fetch_remote(
     ctx: &mut RankCtx,
     lg: &LocalGraph,
-    gids: &[Word],
+    gids: &[u32],
     tag: u32,
-    lookup: impl Fn(Word) -> Word,
-) -> Vec<Word> {
+    lookup: impl Fn(u32) -> u32,
+) -> Vec<u32> {
     let p = ctx.ranks;
     // group requested gids by owner
-    let mut reqs: Vec<Vec<Word>> = vec![Vec::new(); p];
+    let mut reqs: Vec<Vec<u32>> = vec![Vec::new(); p];
     for &g in gids {
         let o = lg.owner(g);
         debug_assert_ne!(o, ctx.rank, "fetch_remote called with a local gid {g}");
@@ -29,7 +29,7 @@ pub fn fetch_remote(
     // answer: values aligned with the request order (lookup + packing)
     let answer_count: u64 = incoming.iter().map(|r| r.len() as u64).sum();
     ctx.work(0, 2 * answer_count);
-    let replies: Vec<Vec<Word>> =
+    let replies: Vec<Vec<u32>> =
         incoming.into_iter().map(|req| req.into_iter().map(&lookup).collect()).collect();
     let answered = ctx.all_to_all(tag + 1, replies);
     // each owner answered in the order its gids appear in `gids`, so one
@@ -40,9 +40,9 @@ pub fn fetch_remote(
 
 /// Share one wire word per rank with everyone (tiny allgather); returns
 /// the per-rank values.
-pub fn allgather_word(ctx: &mut RankCtx, tag: u32, value: Word) -> Vec<Word> {
+pub fn allgather_word(ctx: &mut RankCtx, tag: u32, value: u32) -> Vec<u32> {
     let p = ctx.ranks;
-    let out: Vec<Vec<Word>> = (0..p).map(|_| vec![value]).collect();
+    let out: Vec<Vec<u32>> = (0..p).map(|_| vec![value]).collect();
     ctx.all_to_all(tag, out).into_iter().map(|v| v[0]).collect()
 }
 
@@ -50,17 +50,17 @@ pub fn allgather_word(ctx: &mut RankCtx, tag: u32, value: Word) -> Vec<Word> {
 /// Wrapping arithmetic, so two's-complement-encoded signed deltas sum
 /// correctly.
 pub fn allreduce_sum_vec(ctx: &mut RankCtx, tag: u32, local: &[u64]) -> Vec<u64> {
-    let packed: Vec<Word> =
-        local.iter().flat_map(|&x| [(x & 0xFFFF_FFFF) as Word, (x >> 32) as Word]).collect();
+    let packed: Vec<u32> =
+        local.iter().flat_map(|&x| [(x & 0xFFFF_FFFF) as u32, (x >> 32) as u32]).collect();
     let gathered = ctx.gather(tag, packed);
-    let summed: Vec<Word> = if ctx.rank == 0 {
+    let summed: Vec<u32> = if ctx.rank == 0 {
         let mut acc = vec![0u64; local.len()];
         for v in &gathered {
             for (i, a) in acc.iter_mut().enumerate() {
                 *a = a.wrapping_add((v[2 * i] as u64) | ((v[2 * i + 1] as u64) << 32));
             }
         }
-        acc.iter().flat_map(|&x| [(x & 0xFFFF_FFFF) as Word, (x >> 32) as Word]).collect()
+        acc.iter().flat_map(|&x| [(x & 0xFFFF_FFFF) as u32, (x >> 32) as u32]).collect()
     } else {
         Vec::new()
     };
@@ -97,12 +97,12 @@ mod tests {
         let p = 4;
         let res = run_cluster(&ClusterConfig::intra_node(p), |ctx| {
             let lg = LocalGraph::from_global(&g, p, ctx.rank);
-            let blocks: Vec<Vec<Word>> = (0..p)
+            let blocks: Vec<Vec<u32>> = (0..p)
                 .filter(|&r| r != ctx.rank)
                 .map(|r| (lg.vtxdist[r]..lg.vtxdist[r + 1]).rev().collect())
                 .collect();
             let longest = blocks.iter().map(Vec::len).max().unwrap_or(0);
-            let mut gids: Vec<Word> = Vec::new();
+            let mut gids: Vec<u32> = Vec::new();
             for i in 0..longest {
                 for b in &blocks {
                     if let Some(&x) = b.get(i) {
@@ -110,10 +110,10 @@ mod tests {
                     }
                 }
             }
-            let repeats: Vec<Word> = gids.iter().step_by(5).copied().collect();
+            let repeats: Vec<u32> = gids.iter().step_by(5).copied().collect();
             gids.extend(repeats);
             let vals = fetch_remote(ctx, &lg, &gids, 20, |gid| 1000 + 7 * gid);
-            let want: Vec<Word> = gids.iter().map(|&x| 1000 + 7 * x).collect();
+            let want: Vec<u32> = gids.iter().map(|&x| 1000 + 7 * x).collect();
             (vals == want, gids.len())
         });
         for ((ok, asked), _) in &res {
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn allgather_collects_all_ranks() {
         let res = run_cluster(&ClusterConfig::intra_node(3), |ctx| {
-            allgather_word(ctx, 1, ctx.rank as Word * 10)
+            allgather_word(ctx, 1, ctx.rank as u32 * 10)
         });
         for (v, _) in &res {
             assert_eq!(v, &vec![0, 10, 20]);

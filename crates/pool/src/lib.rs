@@ -135,10 +135,8 @@ pub fn chunk_range(n: usize, t: usize, i: usize) -> (usize, usize) {
 /// `grain`, so a single heavy item gets its own chunk and rmat-style
 /// skewed inputs no longer serialize behind one overloaded range.
 ///
-/// Deterministic: a pure function of `prefix` and `grain`. Generic over
-/// the prefix entry width so both the default u32 CSR offsets and the
-/// `idx64` u64 offsets chunk identically.
-pub fn chunks_by_prefix<I: Copy + Into<u64>>(prefix: &[I], grain: u64) -> Vec<(usize, usize)> {
+/// Deterministic: a pure function of `prefix` and `grain`.
+pub fn chunks_by_prefix(prefix: &[u32], grain: u64) -> Vec<(usize, usize)> {
     let n = prefix.len().saturating_sub(1);
     if n == 0 {
         return Vec::new();
@@ -147,13 +145,13 @@ pub fn chunks_by_prefix<I: Copy + Into<u64>>(prefix: &[I], grain: u64) -> Vec<(u
     let mut out = Vec::new();
     let mut lo = 0usize;
     while lo < n {
-        let start: u64 = prefix[lo].into();
+        let start = prefix[lo] as u64;
         let mut hi = lo + 1; // at least one item, however heavy
                              // extend while the chunk is under grain and the next item would
                              // not itself fill a chunk (heavy items stay isolated)
         while hi < n
-            && (prefix[hi].into() - start) < grain
-            && (prefix[hi + 1].into() - prefix[hi].into()) < grain
+            && (prefix[hi] as u64 - start) < grain
+            && ((prefix[hi + 1] - prefix[hi]) as u64) < grain
         {
             hi += 1;
         }
@@ -780,7 +778,7 @@ mod tests {
     #[test]
     fn chunks_by_prefix_empty_and_flat() {
         assert!(chunks_by_prefix(&[0u32], 4).is_empty());
-        assert!(chunks_by_prefix::<u32>(&[], 4).is_empty());
+        assert!(chunks_by_prefix(&[], 4).is_empty());
         // all-zero weights: still covers every index
         let chunks = chunks_by_prefix(&[0u32, 0, 0, 0], 5);
         assert_eq!(chunks, vec![(0, 3)]);

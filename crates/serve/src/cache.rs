@@ -162,7 +162,6 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_graph::csr::{GraphIndex, Vid};
     use gpm_graph::gen::grid2d;
 
     fn key(seed: u64) -> CacheKey {
@@ -192,21 +191,14 @@ mod tests {
     }
 
     /// Pinned literals of one fixed request: any change to how the
-    /// fingerprints hash fails here. The graph fingerprint folds each
-    /// array at its stored width, so the u64-index build has its own
-    /// values.
+    /// fingerprints hash fails here.
     #[test]
     fn fingerprints_are_pinned() {
         let mut req = JobRequest::new(grid2d(10, 10), 4);
         req.seed = 7;
         req.fault_plan_str = "1:serve.job@0=panic".into();
-        let pins = if Vid::BYTES == 8 {
-            (0xba33933eac819c1b, 0x15b499dd4cb0b72c)
-        } else {
-            (0x63eda3d6187dd38b, 0xf9fe1b7cc257945c)
-        };
         let got = (graph_fingerprint(&req.graph), job_fingerprint(&req));
-        assert_eq!(got, pins, "now {:#018x?}", got);
+        assert_eq!(got, (0x63eda3d6187dd38b, 0xf9fe1b7cc257945c), "now {:#018x?}", got);
     }
 
     #[test]

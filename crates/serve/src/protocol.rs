@@ -30,7 +30,7 @@
 //! the engines only ever see well-formed CSR.
 
 use gpm_faults::FaultPlan;
-use gpm_graph::csr::{CsrGraph, Vid};
+use gpm_graph::csr::CsrGraph;
 use std::io::{Read, Write};
 
 /// `"GPM1"` as a little-endian u32.
@@ -438,12 +438,6 @@ impl<'a> Rd<'a> {
         Ok(raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
-    /// A `u32`-counted vector of 32-bit wire ids widened to the host
-    /// index type.
-    fn vec_idx(&mut self) -> Result<Vec<Vid>, ProtoError> {
-        Ok(self.vec_u32()?.into_iter().map(|x| x as Vid).collect())
-    }
-
     /// A `u32`-counted UTF-8 string.
     fn string(&mut self) -> Result<String, ProtoError> {
         let n = self.u32()? as usize;
@@ -472,19 +466,6 @@ fn put_vec_u32(out: &mut Vec<u8>, v: &[u32]) {
     put_u32(out, v.len() as u32);
     for &x in v {
         out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Index vectors travel as 32-bit words on the v1 wire regardless of the
-/// build's host index width: the 64 MiB payload cap already excludes any
-/// graph whose ids could overflow `u32`. Under `idx64` the caller must not
-/// submit a wider graph (enforced by the payload cap before ids can grow).
-#[allow(clippy::unnecessary_cast)] // `Vid as u32` is a real narrowing under idx64
-fn put_vec_idx(out: &mut Vec<u8>, v: &[Vid]) {
-    put_u32(out, v.len() as u32);
-    for &x in v {
-        debug_assert!(x <= u32::MAX as Vid, "v1 wire carries 32-bit ids");
-        out.extend_from_slice(&(x as u32).to_le_bytes());
     }
 }
 
@@ -537,8 +518,8 @@ pub fn encode_job(req: &JobRequest) -> Vec<u8> {
     put_u32(&mut p, req.threads);
     put_u32(&mut p, req.ranks);
     put_string(&mut p, &req.fault_plan_str);
-    put_vec_idx(&mut p, &g.xadj);
-    put_vec_idx(&mut p, &g.adjncy);
+    put_vec_u32(&mut p, &g.xadj);
+    put_vec_u32(&mut p, &g.adjncy);
     put_vec_u32(&mut p, &g.adjwgt);
     put_vec_u32(&mut p, &g.vwgt);
     p
@@ -564,8 +545,8 @@ pub fn decode_job(payload: &[u8]) -> Result<JobRequest, ProtoError> {
     let threads = r.u32()?;
     let ranks = r.u32()?;
     let fault_plan_str = r.string()?;
-    let xadj = r.vec_idx()?;
-    let adjncy = r.vec_idx()?;
+    let xadj = r.vec_u32()?;
+    let adjncy = r.vec_u32()?;
     let adjwgt = r.vec_u32()?;
     let vwgt = r.vec_u32()?;
     r.finish()?;
